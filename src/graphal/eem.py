@@ -314,47 +314,3 @@ def argmin_ties(values: np.ndarray, rng: np.random.Generator | None = None) -> i
     if ties.size == 1 or rng is None:
         return int(ties[0])
     return int(ties[rng.integers(ties.size)])
-
-
-def argmax_ties(values: np.ndarray, rng: np.random.Generator | None = None) -> int:
-    """Index of the maximum with the same randomized near-tie rule."""
-    v = np.asarray(values, dtype=float)
-    if v.size == 0:
-        raise UsageError("empty score vector")
-    best = float(v.max())
-    tol = DEFAULT_TOLERANCES.tie_relative * max(1.0, abs(best))
-    ties = np.flatnonzero(v >= best - tol)
-    if ties.size == 1 or rng is None:
-        return int(ties[0])
-    return int(ties[rng.integers(ties.size)])
-
-
-def select_query_eem(
-    state: LabelState,
-    kind: MarginalKind,
-    rng: np.random.Generator | None = None,
-    *,
-    decisions: np.ndarray | None = None,
-    harmonic: np.ndarray | None = None,
-    workspace: Workspace | None = None,
-    cap: int = DEFAULT_ENUM_CAP,
-) -> tuple[int, np.ndarray]:
-    """Pick the unlabeled node whose query minimizes expected risk.
-
-    Returns ``(node, scores)`` with ``scores`` aligned to
-    ``state.unlabeled``.  Callers that maintain ``decisions`` (TSA) or
-    ``harmonic`` (ZLG) incrementally pass them in to skip recomputation.
-    """
-    if not state.unlabeled:
-        raise UsageError("no unlabeled nodes left to query")
-    if kind is MarginalKind.TSA:
-        scores = tsa_risk_table(state, f=decisions, workspace=workspace)
-    elif kind is MarginalKind.ZLG:
-        scores = zlg_risk_table(state, h=harmonic, workspace=workspace)
-    elif kind is MarginalKind.EXACT:
-        scores = np.array(
-            [lookahead_risk(state, MarginalKind.EXACT, q, cap=cap) for q in state.unlabeled]
-        )
-    else:
-        raise UsageError(f"unsupported marginal kind {kind}")
-    return state.unlabeled[argmin_ties(scores, rng)], scores

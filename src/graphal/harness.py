@@ -22,8 +22,6 @@ import numpy as np
 from .errors import InputError, ParseError, UsageError
 from .graph_core import Graph, graph_from_edges, build_laplacian, init_label_state, read_edge_list
 from .strategies import (
-    BinarySession,
-    MulticlassSession,
     StrategyKind,
     init_multiclass,
     next_query,
@@ -209,29 +207,23 @@ def _run_with_streams(
     curve = np.empty(budget + 1)
     queries: list[int] = []
 
+    # no local keeps the initial state: its inverse is freed after the first commit
     if dataset.class_count == 2:
         truth = _binary_truth(dataset)
-        session = start_binary(
-            init_label_state(lap, [initial], [truth[initial]]), kind
-        )
-        curve[0] = float(np.mean(predict_binary(session) == truth))
-        for t in range(1, budget + 1):
-            q = next_query(session, rng_tie)
-            queries.append(q)
-            session = update(session, q, truth[q])
-            curve[t] = float(np.mean(predict_binary(session) == truth))
+        session = start_binary(init_label_state(lap, [initial], [truth[initial]]), kind)
+        select, commit, predict = next_query, update, predict_binary
     else:
         truth = dataset.labels
-        msession = start_multiclass(
-            init_multiclass(lap, [initial], [int(truth[initial])], dataset.class_count),
-            kind,
+        session = start_multiclass(
+            init_multiclass(lap, [initial], [truth[initial]], dataset.class_count), kind
         )
-        curve[0] = float(np.mean(predict_multiclass(msession) == truth))
-        for t in range(1, budget + 1):
-            q = next_query_multiclass(msession, rng_tie)
-            queries.append(q)
-            msession = update_multiclass(msession, q, int(truth[q]))
-            curve[t] = float(np.mean(predict_multiclass(msession) == truth))
+        select, commit, predict = next_query_multiclass, update_multiclass, predict_multiclass
+    curve[0] = float(np.mean(predict(session) == truth))
+    for t in range(1, budget + 1):
+        q = select(session, rng_tie)
+        queries.append(q)
+        session = commit(session, q, truth[q])
+        curve[t] = float(np.mean(predict(session) == truth))
 
     return TrialRecord(kind=kind, seed=seed_tag, curve=curve, queries=tuple(queries))
 
@@ -299,6 +291,8 @@ def run_experiment(
         raise UsageError("need at least one strategy")
     if len(set(kinds)) != len(kinds):
         raise UsageError("duplicate strategy in list")
+    if budget < 0:
+        raise UsageError(f"budget must be >= 0, got {budget}")
 
     trial_streams = np.random.SeedSequence(base_seed).spawn(trials)
     curves = {kind: np.empty((trials, budget + 1)) for kind in kinds}

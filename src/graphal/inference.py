@@ -22,7 +22,7 @@ import scipy.special
 
 from .config import DEFAULT_ENUM_CAP, DEFAULT_TOLERANCES
 from .errors import CapacityError, DegeneracyError
-from .graph_core import LabelState, Laplacian, init_label_state
+from .graph_core import LabelState, Laplacian
 
 _CHUNK = 1 << 16
 
@@ -158,11 +158,6 @@ def exact_bmrf_marginals(
     return Marginals(MarginalKind.EXACT, unlabeled, prob, 2.0 * prob - 1.0)
 
 
-def exact_state_marginals(state: LabelState, cap: int = DEFAULT_ENUM_CAP) -> Marginals:
-    """Exact marginals for a live state (same labeled set and Laplacian)."""
-    return exact_bmrf_marginals(state.lap, state.labeled, state.labels, cap=cap)
-
-
 def tsa_imputation_decision(state: LabelState, k: int) -> float:
     """Decision value for one node via the explicit two-step recipe.
 
@@ -184,8 +179,3 @@ def tsa_imputation_decision(state: LabelState, k: int) -> float:
         yhat = np.linalg.solve(mat[np.ix_(rest, rest)], rhs)
         coupling += float(mat[k, rest] @ yhat)
     return -2.0 * coupling
-
-
-def state_for(lap: Laplacian, labeled, labels) -> LabelState:
-    """Convenience: build a state in one call (init + invert)."""
-    return init_label_state(lap, labeled, labels)

@@ -30,11 +30,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .config import DEFAULT_TOLERANCES
-from .errors import UsageError
+from .errors import DegeneracyError, UsageError
 from .graph_core import LabelState, Laplacian, downdate_inverse, init_label_state
 from .eem import (
+    BLOCK,
     Workspace,
-    argmax_ties,
     argmin_ties,
     tsa_risk_table,
     zlg_risk_table,
@@ -65,15 +65,6 @@ class StrategyKind(enum.Enum):
     def is_reference_baseline(self) -> bool:
         """True for strategies we add for scale, not drawn from the literature."""
         return self is StrategyKind.RANDOM
-
-
-@dataclass(frozen=True)
-class QueryStrategy:
-    """A strategy kind plus the knobs that make runs reproducible."""
-
-    kind: StrategyKind
-    seed: int = 0
-    beta: float = 1.0
 
 
 def vopt_scores(state: LabelState) -> np.ndarray:
@@ -124,26 +115,38 @@ def start_binary(state: LabelState, kind: StrategyKind) -> BinarySession:
     )
 
 
-def next_query(session: BinarySession, rng: np.random.Generator | None = None) -> int:
-    """Choose the next node to query; near-ties break uniformly via ``rng``."""
-    state = session.state
+def _choose(kind: StrategyKind, state: LabelState, risk_table, rng) -> int:
+    """The selection rule shared by binary and one-vs-rest sessions.
+
+    ``state`` carries the unlabeled set and the inverse that vopt/sopt
+    read; ``risk_table()`` gives the expected-error table for tsa/zlg.
+    Every scored kind picks the minimizer (vopt/sopt scores are negated).
+    """
     if not state.unlabeled:
         raise UsageError("no unlabeled nodes left to query")
-    kind = session.kind
-    if kind is StrategyKind.TSA:
-        scores = tsa_risk_table(state, f=session.decisions, workspace=session.workspace)
-        return state.unlabeled[argmin_ties(scores, rng)]
-    if kind is StrategyKind.ZLG:
-        scores = zlg_risk_table(state, h=session.harmonic, workspace=session.workspace)
-        return state.unlabeled[argmin_ties(scores, rng)]
-    if kind is StrategyKind.VOPT:
-        return state.unlabeled[argmax_ties(vopt_scores(state), rng)]
-    if kind is StrategyKind.SOPT:
-        return state.unlabeled[argmax_ties(sopt_scores(state), rng)]
-    if kind is StrategyKind.RANDOM:
+    if kind is StrategyKind.TSA or kind is StrategyKind.ZLG:
+        scores = risk_table()
+    elif kind is StrategyKind.VOPT:
+        scores = -vopt_scores(state)
+    elif kind is StrategyKind.SOPT:
+        scores = -sopt_scores(state)
+    elif kind is StrategyKind.RANDOM:
         i = 0 if rng is None else int(rng.integers(len(state.unlabeled)))
         return state.unlabeled[i]
-    raise UsageError(f"unsupported strategy kind {kind}")
+    else:
+        raise UsageError(f"unsupported strategy kind {kind}")
+    return state.unlabeled[argmin_ties(scores, rng)]
+
+
+def next_query(session: BinarySession, rng: np.random.Generator | None = None) -> int:
+    """Choose the next node to query; near-ties break uniformly via ``rng``."""
+
+    def risk_table():
+        if session.kind is StrategyKind.TSA:
+            return tsa_risk_table(session.state, f=session.decisions, workspace=session.workspace)
+        return zlg_risk_table(session.state, h=session.harmonic, workspace=session.workspace)
+
+    return _choose(session.kind, session.state, risk_table, rng)
 
 
 def update(session: BinarySession, node: int, label: float) -> BinarySession:
@@ -346,40 +349,6 @@ def multiclass_zero_one_risk(table: np.ndarray, n: int) -> float:
     return float((1.0 - table.max(axis=1)).sum() / n)
 
 
-def _risk_given_outcomes(
-    scores_minus: np.ndarray, new_plus: np.ndarray, qi: int, n: int, weights: np.ndarray
-) -> float:
-    """Outcome-weighted risk from per-class scores under the one-hot trick.
-
-    ``scores_minus[k, c]`` is node k's class-c score when the candidate's
-    observed class is anything *other than* c; ``new_plus[k, c]`` is the
-    score when it *is* c.  For outcome b only column b changes, so the row
-    sum and row max are patched from precomputed top-2 statistics instead
-    of rebuilt per outcome.
-    """
-    base_sum = scores_minus.sum(axis=1)
-    order_top2 = np.partition(scores_minus, scores_minus.shape[1] - 2, axis=1)
-    top1 = order_top2[:, -1]
-    top2 = order_top2[:, -2]
-    arg1 = np.argmax(scores_minus, axis=1)
-
-    risk = 0.0
-    for b, w in enumerate(weights):
-        if w == 0.0:
-            continue
-        nv = new_plus[:, b]
-        sums = base_sum - scores_minus[:, b] + nv
-        rest = np.where(arg1 == b, top2, top1)
-        maxes = np.maximum(rest, nv)
-        contrib = np.empty_like(sums)
-        ok = sums > 0.0
-        contrib[ok] = 1.0 - maxes[ok] / sums[ok]
-        contrib[~ok] = 1.0 - 1.0 / scores_minus.shape[1]  # no signal: uniform row
-        contrib[qi] = 0.0  # the queried node is observed under every outcome
-        risk += w * float(contrib.sum())
-    return risk / n
-
-
 def multiclass_risk_table(
     mstate: MulticlassState,
     kind: StrategyKind,
@@ -396,7 +365,18 @@ def multiclass_risk_table(
 
         updated_value[k, c] = A[k, c] + B[k] if c == b else A[k, c] - B[k]
 
-    giving O(|u| C) per candidate, O(|u|^2 C) per sweep.
+    giving O(|u| C) per candidate, O(|u|^2 C) per sweep.  Let ``S-`` and
+    ``S+`` be the per-class scores of A - B and A + B.  For outcome b only
+    column b changes (to ``S+``), so each node's row sum and row max are
+    patched from the top-2 statistics of ``S-`` instead of rebuilt per
+    outcome.
+
+    Candidates are swept in blocks on (rows, |u|, C) arrays, ``BLOCK //
+    (4 C)`` candidates at a time: a block holds about nine such arrays at
+    its peak, near the two (BLOCK, |u|) buffers of a binary sweep.
+    Candidate q reads column q of ``G`` (after downdates
+    ``G`` is symmetric only to rounding), copied row-major so the sums
+    over classes and nodes add in the same order as a one-candidate sweep.
     """
     base = mstate.states[0]
     m = len(base.unlabeled)
@@ -406,38 +386,65 @@ def multiclass_risk_table(
     d = np.diag(g)
     tol = DEFAULT_TOLERANCES.singularity
     if d.min() <= tol:
-        raise UsageError("inverse diagonal vanished; state is degenerate")
+        bad = base.unlabeled[int(np.argmin(d))]
+        raise DegeneracyError(f"inverse diagonal vanished at node {bad}")
     n = mstate.n
+    c_count = mstate.class_count
 
     if kind is StrategyKind.TSA:
         if decisions is None:
             decisions = multiclass_decisions(mstate)
-        weights_table = _normalize_rows(sigmoid(decisions))[0]
+        weights = _normalize_rows(sigmoid(decisions))[0]
+        scaled = d[:, None] * decisions
     elif kind is StrategyKind.ZLG:
         if harmonics is None:
             harmonics = multiclass_harmonics(mstate)
-        weights_table = _normalize_rows((np.clip(harmonics, -1.0, 1.0) + 1.0) / 2.0)[0]
+        weights = _normalize_rows((np.clip(harmonics, -1.0, 1.0) + 1.0) / 2.0)[0]
     else:
         raise UsageError(f"{kind} has no expected-risk table")
 
-    out = np.empty(m)
-    for qi in range(m):
-        col = g[:, qi]
+    step = max(1, BLOCK // (4 * c_count))
+    risk = np.zeros(m)
+    for q0 in range(0, m, step):
+        q1 = min(q0 + step, m)
+        cols = np.ascontiguousarray(g[:, q0:q1].T)
+        dq = d[q0:q1, None]
+        diag_r = np.arange(q1 - q0)
+        diag_c = np.arange(q0, q1)
         if kind is StrategyKind.TSA:
-            denom = d - col * col / d[qi]
-            denom[qi] = 1.0
+            denom = d - cols * cols / dq
+            denom[diag_r, diag_c] = 1.0
+            if denom.min() <= tol:
+                qi, ki = np.unravel_index(int(np.argmin(denom)), denom.shape)
+                raise DegeneracyError(
+                    f"lookahead denominator vanished for candidate "
+                    f"{base.unlabeled[q0 + qi]} at node {base.unlabeled[ki]}"
+                )
             inv_denom = 1.0 / denom
-            a = (d[:, None] * decisions - np.outer(col, decisions[qi])) * inv_denom[:, None]
-            b = (2.0 * col / d[qi]) * inv_denom
-            s_minus = sigmoid(a - b[:, None])
-            s_plus_diag = sigmoid(a + b[:, None])
+            a = (scaled - cols[:, :, None] * decisions[q0:q1, None, :]) * inv_denom[:, :, None]
+            b = ((2.0 * cols / dq) * inv_denom)[:, :, None]
+            s_minus = sigmoid(a - b)
+            s_plus = sigmoid(a + b)
         else:
-            r = col / d[qi]
-            a = harmonics - np.outer(r, harmonics[qi])
-            s_minus = (np.clip(a - r[:, None], -1.0, 1.0) + 1.0) / 2.0
-            s_plus_diag = (np.clip(a + r[:, None], -1.0, 1.0) + 1.0) / 2.0
-        out[qi] = _risk_given_outcomes(s_minus, s_plus_diag, qi, n, weights_table[qi])
-    return out
+            r = (cols / dq)[:, :, None]
+            a = harmonics - r * harmonics[q0:q1, None, :]
+            s_minus = (np.clip(a - r, -1.0, 1.0) + 1.0) / 2.0
+            s_plus = (np.clip(a + r, -1.0, 1.0) + 1.0) / 2.0
+
+        base_sum = s_minus.sum(axis=2)
+        top = np.partition(s_minus, c_count - 2, axis=2)
+        top1, top2 = top[:, :, -1], top[:, :, -2]
+        arg1 = np.argmax(s_minus, axis=2)
+        for c in range(c_count):
+            new = s_plus[:, :, c]
+            sums = base_sum - s_minus[:, :, c] + new
+            maxes = np.maximum(np.where(arg1 == c, top2, top1), new)
+            # a row with no signal (sum 0) reads as uniform
+            ratio = np.divide(maxes, sums, out=np.full_like(sums, 1.0 / c_count), where=sums > 0.0)
+            contrib = 1.0 - ratio
+            contrib[diag_r, diag_c] = 0.0  # the queried node is observed under every outcome
+            risk[q0:q1] += weights[q0:q1, c] * contrib.sum(axis=1)
+    return risk / n
 
 
 @dataclass(frozen=True)
@@ -461,23 +468,16 @@ def start_multiclass(mstate: MulticlassState, kind: StrategyKind) -> MulticlassS
 def next_query_multiclass(
     session: MulticlassSession, rng: np.random.Generator | None = None
 ) -> int:
-    kind = session.kind
+    """Same rule as :func:`next_query`, with the one-vs-rest risk table."""
     mstate = session.mstate
-    if not mstate.unlabeled:
-        raise UsageError("no unlabeled nodes left to query")
-    if kind in (StrategyKind.TSA, StrategyKind.ZLG):
-        scores = multiclass_risk_table(
-            mstate, kind, decisions=session.decisions, harmonics=session.harmonics
-        )
-        return mstate.unlabeled[argmin_ties(scores, rng)]
-    if kind is StrategyKind.VOPT:
-        return mstate.unlabeled[argmax_ties(vopt_scores(mstate.states[0]), rng)]
-    if kind is StrategyKind.SOPT:
-        return mstate.unlabeled[argmax_ties(sopt_scores(mstate.states[0]), rng)]
-    if kind is StrategyKind.RANDOM:
-        i = 0 if rng is None else int(rng.integers(len(mstate.unlabeled)))
-        return mstate.unlabeled[i]
-    raise UsageError(f"unsupported strategy kind {kind}")
+    return _choose(
+        session.kind,
+        mstate.states[0],
+        lambda: multiclass_risk_table(
+            mstate, session.kind, decisions=session.decisions, harmonics=session.harmonics
+        ),
+        rng,
+    )
 
 
 def update_multiclass(

@@ -154,6 +154,7 @@ def test_experiment_from_files_multiclass(tmp_path, capsys):
         (["--toy", "nosuch"], "unknown toy"),
         (["--strategies", "best", "--toy", "chain15"], "unknown strategy"),
         ([], "choose a dataset"),
+        (["--budget", "-3", "--toy", "chain15"], "budget must be >= 0"),
     ],
 )
 def test_experiment_config_errors(tmp_path, capsys, extra, msg):

@@ -19,10 +19,8 @@ from graphal.inference import (
 )
 from graphal.eem import (
     Workspace,
-    argmax_ties,
     argmin_ties,
     lookahead_risk,
-    select_query_eem,
     tsa_lookahead_decisions,
     tsa_risk_table,
     zero_one_risk,
@@ -30,6 +28,13 @@ from graphal.eem import (
     zlg_risk_table,
 )
 from graphal.selftest import random_connected_graph, random_labeled_state
+from graphal.strategies import (
+    MulticlassState,
+    StrategyKind,
+    multiclass_risk_table,
+    next_query,
+    start_binary,
+)
 
 
 def chain_state(n, labeled, labels):
@@ -106,13 +111,17 @@ def test_updates_require_unlabeled_node(demo_chain):
 
 def test_degenerate_pivot_is_reported():
     state = chain_state(4, [0], [1.0])
-    broken = LabelState(
-        lap=state.lap,
-        labeled=state.labeled,
-        labels=state.labels,
-        unlabeled=state.unlabeled,
-        inverse=np.zeros_like(state.inverse),
-    )
+
+    def with_inverse(inverse):
+        return LabelState(
+            lap=state.lap,
+            labeled=state.labeled,
+            labels=state.labels,
+            unlabeled=state.unlabeled,
+            inverse=inverse,
+        )
+
+    broken = with_inverse(np.zeros_like(state.inverse))
     with pytest.raises(DegeneracyError):
         tsa_lookahead_decisions(broken, np.zeros(3), 1, 1.0)
     with pytest.raises(DegeneracyError):
@@ -121,6 +130,16 @@ def test_degenerate_pivot_is_reported():
         tsa_risk_table(broken)
     with pytest.raises(DegeneracyError):
         zlg_risk_table(broken)
+    for kind in (StrategyKind.TSA, StrategyKind.ZLG):
+        with pytest.raises(DegeneracyError, match="inverse diagonal vanished at node 1"):
+            multiclass_risk_table(MulticlassState(2, (broken, broken)), kind)
+
+    # unit diagonal, but G_kk - G_kq^2 / G_qq = 0 off the candidate
+    flat = with_inverse(np.ones_like(state.inverse))
+    with pytest.raises(DegeneracyError, match="candidate 1 at node 2"):
+        tsa_risk_table(flat)
+    with pytest.raises(DegeneracyError, match="candidate 1 at node 2"):
+        multiclass_risk_table(MulticlassState(2, (flat, flat)), StrategyKind.TSA)
 
 
 # --- lookahead risk and the all-candidates tables ----------------------------
@@ -169,14 +188,6 @@ def test_demo_chain_lookahead_minimum_at_node_16(demo_chain):
     assert candidates[int(np.argmin(exact_risks))] == 15
 
 
-def test_exact_lookahead_on_tiny_graph_matches_table_route():
-    state = chain_state(6, [0], [1.0])
-    node, scores = select_query_eem(state, MarginalKind.EXACT)
-    per = [lookahead_risk(state, MarginalKind.EXACT, q) for q in state.unlabeled]
-    assert np.allclose(scores, per)
-    assert node == state.unlabeled[int(np.argmin(per))]
-
-
 def test_workspace_reuse_is_idempotent(demo_chain):
     ws = Workspace(len(demo_chain.unlabeled))
     first = tsa_risk_table(demo_chain, workspace=ws).copy()
@@ -193,19 +204,18 @@ def test_workspace_rejects_bad_capacity():
 
 
 def test_select_query_returns_risk_minimizer(demo_chain):
-    rng = np.random.default_rng(0)
-    node, scores = select_query_eem(demo_chain, MarginalKind.TSA, rng)
-    assert node == demo_chain.unlabeled[int(np.argmin(scores))]
+    session = start_binary(demo_chain, StrategyKind.TSA)
+    node = next_query(session, np.random.default_rng(0))
+    assert node == demo_chain.unlabeled[int(np.argmin(tsa_risk_table(demo_chain)))]
     # deterministic under a fixed seed
-    node2, _ = select_query_eem(demo_chain, MarginalKind.TSA, np.random.default_rng(0))
-    assert node2 == node
+    assert next_query(session, np.random.default_rng(0)) == node
 
 
 def test_select_query_needs_candidates():
     state = chain_state(2, [0], [1.0])
-    exhausted = downdate_inverse(state, 1, 1.0)
+    exhausted = start_binary(downdate_inverse(state, 1, 1.0), StrategyKind.TSA)
     with pytest.raises(UsageError):
-        select_query_eem(exhausted, MarginalKind.TSA)
+        next_query(exhausted)
 
 
 def test_argmin_ties_tolerance_and_determinism():
@@ -215,7 +225,7 @@ def test_argmin_ties_tolerance_and_determinism():
     assert picks == {1, 2}
     w = np.array([5.0, 4.0, 4.0 + 1e-6])  # outside tolerance: never tied
     assert all(argmin_ties(w, np.random.default_rng(s)) == 1 for s in range(16))
-    assert argmax_ties(w, None) == 0
+    assert argmin_ties(-w, None) == 0  # maxima are picked as minima of the negation
 
 
 def test_tie_selection_uniform_on_featureless_graph():
@@ -224,11 +234,11 @@ def test_tie_selection_uniform_on_featureless_graph():
     g = graph_from_edges(7, [])
     lap = build_laplacian(g, ridge=1.0)
     state = init_label_state(lap, [0], [1.0])
-    m = len(state.unlabeled)
-    counts = np.zeros(m)
+    session = start_binary(state, StrategyKind.TSA)
+    counts = np.zeros(len(state.unlabeled))
     rng = np.random.default_rng(1234)
     for _ in range(6000):
-        node, _ = select_query_eem(state, MarginalKind.TSA, rng)
+        node = next_query(session, rng)
         counts[state.u_index(node)] += 1
     p = scipy.stats.chisquare(counts).pvalue
     assert p > 0.001, (counts, p)

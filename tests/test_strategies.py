@@ -4,7 +4,7 @@ import pytest
 
 from graphal.errors import UsageError
 from graphal.graph_core import build_laplacian, graph_from_edges, init_label_state
-from graphal.inference import lp_harmonic, tsa_marginals
+from graphal.inference import lp_harmonic, sigmoid, tsa_marginals
 from graphal.eem import tsa_risk_table
 from graphal.strategies import (
     MulticlassState,
@@ -26,6 +26,7 @@ from graphal.strategies import (
     update,
     update_multiclass,
     vopt_scores,
+    _normalize_rows,
 )
 from graphal.selftest import random_connected_graph, random_labeled_state
 from graphal.graph_core import inverse_residual
@@ -241,6 +242,83 @@ def test_multiclass_two_class_reduction_matches_binary():
     )
 
 
+def _risk_given_outcomes(scores_minus, new_plus, qi, n, weights):
+    """One candidate's outcome-weighted risk, patching row sums and maxima."""
+    base_sum = scores_minus.sum(axis=1)
+    order_top2 = np.partition(scores_minus, scores_minus.shape[1] - 2, axis=1)
+    top1 = order_top2[:, -1]
+    top2 = order_top2[:, -2]
+    arg1 = np.argmax(scores_minus, axis=1)
+
+    risk = 0.0
+    for b, w in enumerate(weights):
+        if w == 0.0:
+            continue
+        nv = new_plus[:, b]
+        sums = base_sum - scores_minus[:, b] + nv
+        rest = np.where(arg1 == b, top2, top1)
+        maxes = np.maximum(rest, nv)
+        contrib = np.empty_like(sums)
+        ok = sums > 0.0
+        contrib[ok] = 1.0 - maxes[ok] / sums[ok]
+        contrib[~ok] = 1.0 - 1.0 / scores_minus.shape[1]
+        contrib[qi] = 0.0
+        risk += w * float(contrib.sum())
+    return risk / n
+
+
+def per_candidate_risk_table(mstate, kind, decisions, harmonics):
+    """Reference: the multiclass risk table one candidate at a time."""
+    g = mstate.states[0].inverse
+    d = np.diag(g)
+    if kind is StrategyKind.TSA:
+        weights_table = _normalize_rows(sigmoid(decisions))[0]
+    else:
+        weights_table = _normalize_rows((np.clip(harmonics, -1.0, 1.0) + 1.0) / 2.0)[0]
+    out = np.empty(len(mstate.unlabeled))
+    for qi in range(len(out)):
+        col = g[:, qi]
+        if kind is StrategyKind.TSA:
+            denom = d - col * col / d[qi]
+            denom[qi] = 1.0
+            inv_denom = 1.0 / denom
+            a = (d[:, None] * decisions - np.outer(col, decisions[qi])) * inv_denom[:, None]
+            b = (2.0 * col / d[qi]) * inv_denom
+            s_minus = sigmoid(a - b[:, None])
+            s_plus_diag = sigmoid(a + b[:, None])
+        else:
+            r = col / d[qi]
+            a = harmonics - np.outer(r, harmonics[qi])
+            s_minus = (np.clip(a - r[:, None], -1.0, 1.0) + 1.0) / 2.0
+            s_plus_diag = (np.clip(a + r[:, None], -1.0, 1.0) + 1.0) / 2.0
+        out[qi] = _risk_given_outcomes(s_minus, s_plus_diag, qi, mstate.n, weights_table[qi])
+    return out
+
+
+@pytest.mark.parametrize("classes", [3, 4])
+@pytest.mark.parametrize("kind", [StrategyKind.TSA, StrategyKind.ZLG])
+def test_multiclass_risk_table_blocks_match_per_candidate_reference(kind, classes):
+    # ~90 candidates: several full candidate blocks plus a partial last one
+    rng = np.random.default_rng(41 + classes)
+    graph = random_connected_graph(rng, n_max=100, n_min=100)
+    truth = rng.integers(classes, size=graph.n)
+    session = start_multiclass(
+        init_multiclass(build_laplacian(graph), [0], [truth[0]], classes), kind
+    )
+    for _ in range(8):
+        q = session.mstate.unlabeled[int(rng.integers(len(session.mstate.unlabeled)))]
+        session = update_multiclass(session, q, int(truth[q]))
+    g = session.mstate.states[0].inverse
+    assert not np.array_equal(g, g.T)  # downdates leave G symmetric only to rounding
+
+    decisions = session.decisions if kind is StrategyKind.TSA else None
+    fast = multiclass_risk_table(
+        session.mstate, kind, decisions=decisions, harmonics=session.harmonics
+    )
+    slow = per_candidate_risk_table(session.mstate, kind, decisions, session.harmonics)
+    assert np.array_equal(fast, slow)
+
+
 @pytest.mark.parametrize("kind", [StrategyKind.TSA, StrategyKind.ZLG])
 def test_multiclass_risk_table_against_fresh_recompute(kind):
     # oracle: rebuild the conditioned multiclass state per (q, outcome) and
@@ -250,8 +328,6 @@ def test_multiclass_risk_table_against_fresh_recompute(kind):
     table = multiclass_marginals(m).table if kind is StrategyKind.TSA else None
     if kind is StrategyKind.ZLG:
         h = multiclass_harmonics(m)
-        from graphal.strategies import _normalize_rows
-
         table = _normalize_rows((np.clip(h, -1.0, 1.0) + 1.0) / 2.0)[0]
     fast = multiclass_risk_table(m, kind)
     for qi, q in enumerate(m.unlabeled):
