@@ -15,8 +15,8 @@ class Tolerances:
 
     equivalence: max-abs tolerance for route-equivalence checks
         (incremental update vs. fresh computation).
-    singularity: diagonal / denominator entries at or below this are
-        treated as numerically degenerate.
+    singularity: diagonal / denominator entries at or below this times
+        the largest inverse diagonal are treated as numerically degenerate.
     tie_relative: relative tolerance for treating two risk (or score)
         values as tied during query selection.
     inverse_check: max-abs tolerance for the G @ L_uu == I debug check.

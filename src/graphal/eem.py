@@ -57,16 +57,20 @@ def zero_one_risk(marginals: Marginals, n: int) -> float:
     return float(np.minimum(p, 1.0 - p).sum() / n)
 
 
-def tsa_lookahead_decisions(state: LabelState, f: np.ndarray, q: int, y: float) -> np.ndarray:
+def tsa_lookahead_decisions(state: LabelState, f: np.ndarray, q: int, y) -> np.ndarray:
     """Decision values after hypothetically observing ``Y_q = y``.
 
-    Entry ``q`` is set to +/-inf (a just-observed node is certain).  Aligned
-    with ``state.unlabeled``; the state itself is untouched.
+    ``f`` is one vector aligned with ``state.unlabeled`` and ``y`` a label,
+    or ``f`` is a (|u|, C) matrix of one column per one-vs-rest run and
+    ``y`` a length-C label vector; the matrix form shares the diagonal and
+    the denominator, and each column equals the one-column call bitwise.
+    Row ``q`` is set to +/-inf (a just-observed node is certain).  The
+    state itself is untouched.
     """
     qi = state.u_index(q)
     g = state.inverse
     d = np.diag(g)
-    tol = DEFAULT_TOLERANCES.singularity
+    tol = state.singular_floor
     if d[qi] <= tol:
         raise DegeneracyError(f"inverse diagonal at node {q} is {d[qi]:.3e}")
     col = g[:, qi]
@@ -75,22 +79,28 @@ def tsa_lookahead_decisions(state: LabelState, f: np.ndarray, q: int, y: float) 
     if denom.min() <= tol:
         bad = state.unlabeled[int(np.argmin(denom))]
         raise DegeneracyError(f"lookahead denominator vanished at node {bad}")
+    if f.ndim == 2:
+        d, col, denom = d[:, None], col[:, None], denom[:, None]
     fp = (d * f + (2.0 * y / d[qi] - f[qi]) * col) / denom
-    fp[qi] = np.inf if y > 0 else -np.inf
+    fp[qi] = np.where(y > 0, np.inf, -np.inf)
     return fp
 
 
-def zlg_lookahead_harmonic(state: LabelState, h: np.ndarray, q: int, y: float) -> np.ndarray:
+def zlg_lookahead_harmonic(state: LabelState, h: np.ndarray, q: int, y) -> np.ndarray:
     """Harmonic values after hypothetically pinning node ``q`` to ``y``.
 
-    One rank-one correction of the interpolation; entry ``q`` becomes ``y``
-    exactly.
+    One rank-one correction of the interpolation; row ``q`` becomes ``y``
+    exactly.  Takes one vector and a label, or a (|u|, C) matrix and a
+    length-C label vector, like :func:`tsa_lookahead_decisions`.
     """
     qi = state.u_index(q)
     g = state.inverse
-    if g[qi, qi] <= DEFAULT_TOLERANCES.singularity:
+    if g[qi, qi] <= state.singular_floor:
         raise DegeneracyError(f"inverse diagonal at node {q} is {g[qi, qi]:.3e}")
-    hp = h + (y - h[qi]) * (g[:, qi] / g[qi, qi])
+    ratio = g[:, qi] / g[qi, qi]
+    if h.ndim == 2:
+        ratio = ratio[:, None]
+    hp = h + (y - h[qi]) * ratio
     hp[qi] = y
     return hp
 
@@ -198,7 +208,7 @@ def tsa_risk_table(
         return np.zeros(0)
     g = state.inverse
     d = np.diag(g).copy()
-    tol = DEFAULT_TOLERANCES.singularity
+    tol = state.singular_floor
     if d.min() <= tol:
         bad = state.unlabeled[int(np.argmin(d))]
         raise DegeneracyError(f"inverse diagonal vanished at node {bad}")
@@ -263,7 +273,7 @@ def zlg_risk_table(
         return np.zeros(0)
     g = state.inverse
     d = np.diag(g).copy()
-    tol = DEFAULT_TOLERANCES.singularity
+    tol = state.singular_floor
     if d.min() <= tol:
         bad = state.unlabeled[int(np.argmin(d))]
         raise DegeneracyError(f"inverse diagonal vanished at node {bad}")

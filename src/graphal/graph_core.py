@@ -169,6 +169,18 @@ class LabelState:
         except KeyError:
             raise UsageError(f"node {node} is not unlabeled") from None
 
+    @cached_property
+    def singular_floor(self) -> float:
+        """Level at or below which a pivot or lookahead denominator is degenerate.
+
+        ``Tolerances.singularity`` times the largest entry of ``diag(G)``.
+        ``G`` scales as 1/beta and inversely with the edge-weight unit, so
+        an absolute threshold would report well-posed problems as
+        degenerate at large beta; relative to ``max diag(G)`` the guards
+        are scale-free.  Needs at least one unlabeled node.
+        """
+        return DEFAULT_TOLERANCES.singularity * self.inverse.diagonal().max()
+
     @property
     def n(self) -> int:
         return self.lap.n
@@ -252,7 +264,7 @@ def downdate_inverse(state: LabelState, k: int, label: float) -> LabelState:
         raise InputError(f"label must be +1 or -1, got {label}")
     g = state.inverse
     pivot = g[qi, qi]
-    if pivot <= DEFAULT_TOLERANCES.singularity:
+    if pivot <= state.singular_floor:
         raise DegeneracyError(f"inverse diagonal at node {k} is {pivot:.3e}; cannot downdate")
 
     keep = np.arange(len(state.unlabeled)) != qi

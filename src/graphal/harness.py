@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import InputError, ParseError, UsageError
-from .graph_core import Graph, graph_from_edges, build_laplacian, init_label_state, read_edge_list
+from .graph_core import Graph, Laplacian, build_laplacian, graph_from_edges, init_label_state, read_edge_list
 from .strategies import (
     StrategyKind,
     init_multiclass,
@@ -190,18 +190,17 @@ def _binary_truth(dataset: Dataset) -> np.ndarray:
 
 def _run_with_streams(
     dataset: Dataset,
+    lap: Laplacian,
     kind: StrategyKind,
     budget: int,
     init_ss,
     tie_ss,
     seed_tag,
-    beta: float,
-    ridge: float,
 ) -> TrialRecord:
+    """One strategy's trial on ``lap``, the Laplacian shared by every strategy of the trial."""
     n = dataset.graph.n
     if not 0 <= budget <= n - 1:
         raise UsageError(f"budget must lie in 0..{n - 1}, got {budget}")
-    lap = build_laplacian(dataset.graph, beta=beta, ridge=ridge)
     initial = int(np.random.default_rng(init_ss).integers(n))
     rng_tie = np.random.default_rng(tie_ss)
     curve = np.empty(budget + 1)
@@ -243,7 +242,8 @@ def run_trial(
     """
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     init_ss, tie_ss = ss.spawn(2)
-    return _run_with_streams(dataset, kind, budget, init_ss, tie_ss, seed, beta, ridge)
+    lap = build_laplacian(dataset.graph, beta=beta, ridge=ridge)
+    return _run_with_streams(dataset, lap, kind, budget, init_ss, tie_ss, seed)
 
 
 @dataclass(frozen=True)
@@ -303,8 +303,9 @@ def run_experiment(
         dataset = source(lab_ss) if callable(source) else source
         if name is None:
             name = dataset.name
+        lap = build_laplacian(dataset.graph, beta=beta, ridge=ridge)
         for kind in kinds:
-            rec = _run_with_streams(dataset, kind, budget, init_ss, tie_ss, i, beta, ridge)
+            rec = _run_with_streams(dataset, lap, kind, budget, init_ss, tie_ss, i)
             curves[kind][i] = rec.curve
             records.append(rec)
     return ExperimentResult(

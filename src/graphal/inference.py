@@ -87,7 +87,7 @@ def tsa_marginals(state: LabelState) -> Marginals:
     if not state.unlabeled:
         return Marginals(MarginalKind.TSA, (), np.zeros(0), np.zeros(0))
     diag = np.diag(state.inverse)
-    if np.any(diag <= DEFAULT_TOLERANCES.singularity):
+    if diag.min() <= state.singular_floor:
         bad = state.unlabeled[int(np.argmin(diag))]
         raise DegeneracyError(f"inverse diagonal vanished at node {bad}")
     f = 2.0 * h / diag

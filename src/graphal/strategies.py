@@ -28,6 +28,7 @@ import enum
 from dataclasses import dataclass, replace
 
 import numpy as np
+import scipy.special
 
 from .config import DEFAULT_TOLERANCES
 from .errors import DegeneracyError, UsageError
@@ -349,6 +350,24 @@ def multiclass_zero_one_risk(table: np.ndarray, n: int) -> float:
     return float((1.0 - table.max(axis=1)).sum() / n)
 
 
+def _sigmoid_into(z: np.ndarray, out: np.ndarray, mask: np.ndarray) -> None:
+    """``out[...] = sigmoid(z)``, snapped the same way, without temporaries."""
+    sat = DEFAULT_TOLERANCES.saturation
+    scipy.special.expit(z, out=out)
+    if z.max() > sat:
+        np.copyto(out, 1.0, where=np.greater(z, sat, out=mask))
+    if z.min() < -sat:
+        np.copyto(out, 0.0, where=np.less(z, -sat, out=mask))
+
+
+def _harmonic_prob_into(z: np.ndarray, out: np.ndarray, mask: np.ndarray) -> None:
+    """``out[...] = (clip(z, -1, 1) + 1) / 2``; ``mask`` is unused (same
+    signature as :func:`_sigmoid_into`)."""
+    np.clip(z, -1.0, 1.0, out=out)
+    out += 1.0
+    out /= 2.0
+
+
 def multiclass_risk_table(
     mstate: MulticlassState,
     kind: StrategyKind,
@@ -371,12 +390,24 @@ def multiclass_risk_table(
     patched from the top-2 statistics of ``S-`` instead of rebuilt per
     outcome.
 
-    Candidates are swept in blocks on (rows, |u|, C) arrays, ``BLOCK //
-    (4 C)`` candidates at a time: a block holds about nine such arrays at
-    its peak, near the two (BLOCK, |u|) buffers of a binary sweep.
-    Candidate q reads column q of ``G`` (after downdates
-    ``G`` is symmetric only to rounding), copied row-major so the sums
-    over classes and nodes add in the same order as a one-candidate sweep.
+    Candidates are swept in blocks of ``BLOCK // C`` rows.  The per-class
+    values are laid out class-major, (C, rows, |u|), so every class slab
+    is contiguous.  One fold over classes 0..C-1 gives the row sum of
+    ``S-``, its largest and second largest value and the first class that
+    holds the largest (a strict ``>`` keeps the lowest class on ties).
+    Every pass writes into scratch allocated once per call; the sigmoid
+    snap past +/-saturation and the uniform fallback for zero-sum rows run
+    only on blocks that have such entries.
+
+    The result is bitwise equal to the per-candidate form (kept in the
+    tests as the reference) because every quantity is computed by the
+    same float operations in the same order: candidate q reads column q of
+    ``G`` (after downdates ``G`` is symmetric only to rounding), copied
+    row-major; the class sum adds in class order 0..C-1, which is how
+    numpy sums a row of fewer than 8 values (from C = 8 on numpy sums
+    pairwise and the last bits may differ); the sum over nodes is one
+    contiguous numpy row sum per candidate, and the outcome terms are
+    added in class order.
     """
     base = mstate.states[0]
     m = len(base.unlabeled)
@@ -384,64 +415,106 @@ def multiclass_risk_table(
         raise UsageError("no unlabeled nodes left to query")
     g = base.inverse
     d = np.diag(g)
-    tol = DEFAULT_TOLERANCES.singularity
+    tol = base.singular_floor
     if d.min() <= tol:
         bad = base.unlabeled[int(np.argmin(d))]
         raise DegeneracyError(f"inverse diagonal vanished at node {bad}")
     n = mstate.n
     c_count = mstate.class_count
 
-    if kind is StrategyKind.TSA:
+    tsa = kind is StrategyKind.TSA
+    if tsa:
         if decisions is None:
             decisions = multiclass_decisions(mstate)
         weights = _normalize_rows(sigmoid(decisions))[0]
-        scaled = d[:, None] * decisions
+        values = np.ascontiguousarray(decisions.T)
+        scaled = d * values  # d_k f_k^c
+        score_into = _sigmoid_into
     elif kind is StrategyKind.ZLG:
         if harmonics is None:
             harmonics = multiclass_harmonics(mstate)
         weights = _normalize_rows((np.clip(harmonics, -1.0, 1.0) + 1.0) / 2.0)[0]
+        values = np.ascontiguousarray(harmonics.T)
+        score_into = _harmonic_prob_into
     else:
         raise UsageError(f"{kind} has no expected-risk table")
 
-    step = max(1, BLOCK // (4 * c_count))
+    step = min(m, max(1, BLOCK // c_count))
+    work = np.empty((2 * c_count + 7, step, m))  # scratch for the whole sweep
+    arg1_buf = np.empty((step, m), dtype=np.intp)
+    mask_buf = np.empty((step, m), dtype=bool)
     risk = np.zeros(m)
     for q0 in range(0, m, step):
         q1 = min(q0 + step, m)
-        cols = np.ascontiguousarray(g[:, q0:q1].T)
+        rows = q1 - q0
+        blk = work[:, :rows]  # every blk[i] is a contiguous (rows, |u|) slab
+        a_all, s_minus = blk[:c_count], blk[c_count:2 * c_count]
+        cols, shift, z, s_plus, base_sum, top1, top2 = blk[2 * c_count:]
+        arg1, mask = arg1_buf[:rows], mask_buf[:rows]
+        np.copyto(cols, g[:, q0:q1].T)
         dq = d[q0:q1, None]
-        diag_r = np.arange(q1 - q0)
+        diag_r = np.arange(rows)
         diag_c = np.arange(q0, q1)
-        if kind is StrategyKind.TSA:
-            denom = d - cols * cols / dq
-            denom[diag_r, diag_c] = 1.0
-            if denom.min() <= tol:
-                qi, ki = np.unravel_index(int(np.argmin(denom)), denom.shape)
+        if tsa:
+            inv_denom = z
+            np.multiply(cols, cols, out=inv_denom)
+            inv_denom /= dq
+            np.subtract(d, inv_denom, out=inv_denom)
+            inv_denom[diag_r, diag_c] = 1.0
+            if inv_denom.min() <= tol:
+                qi, ki = np.unravel_index(int(np.argmin(inv_denom)), inv_denom.shape)
                 raise DegeneracyError(
                     f"lookahead denominator vanished for candidate "
                     f"{base.unlabeled[q0 + qi]} at node {base.unlabeled[ki]}"
                 )
-            inv_denom = 1.0 / denom
-            a = (scaled - cols[:, :, None] * decisions[q0:q1, None, :]) * inv_denom[:, :, None]
-            b = ((2.0 * cols / dq) * inv_denom)[:, :, None]
-            s_minus = sigmoid(a - b)
-            s_plus = sigmoid(a + b)
+            np.divide(1.0, inv_denom, out=inv_denom)
+            np.multiply(2.0, cols, out=shift)
+            shift /= dq
+            shift *= inv_denom
+            for c, a in enumerate(a_all):
+                np.multiply(cols, values[c, q0:q1, None], out=a)
+                np.subtract(scaled[c], a, out=a)
+                a *= inv_denom
         else:
-            r = (cols / dq)[:, :, None]
-            a = harmonics - r * harmonics[q0:q1, None, :]
-            s_minus = (np.clip(a - r, -1.0, 1.0) + 1.0) / 2.0
-            s_plus = (np.clip(a + r, -1.0, 1.0) + 1.0) / 2.0
+            np.divide(cols, dq, out=shift)
+            for c, a in enumerate(a_all):
+                np.multiply(shift, values[c, q0:q1, None], out=a)
+                np.subtract(values[c], a, out=a)
 
-        base_sum = s_minus.sum(axis=2)
-        top = np.partition(s_minus, c_count - 2, axis=2)
-        top1, top2 = top[:, :, -1], top[:, :, -2]
-        arg1 = np.argmax(s_minus, axis=2)
+        # one fold of S- over the classes: row sum, top two values, first argmax
         for c in range(c_count):
-            new = s_plus[:, :, c]
-            sums = base_sum - s_minus[:, :, c] + new
-            maxes = np.maximum(np.where(arg1 == c, top2, top1), new)
-            # a row with no signal (sum 0) reads as uniform
-            ratio = np.divide(maxes, sums, out=np.full_like(sums, 1.0 / c_count), where=sums > 0.0)
-            contrib = 1.0 - ratio
+            np.subtract(a_all[c], shift, out=z)
+            score_into(z, s_minus[c], mask)
+            if c == 0:
+                np.copyto(base_sum, s_minus[0])
+                np.copyto(top1, s_minus[0])
+                top2.fill(-np.inf)
+                arg1.fill(0)
+                continue
+            base_sum += s_minus[c]
+            np.copyto(arg1, c, where=np.greater(s_minus[c], top1, out=mask))
+            np.minimum(top1, s_minus[c], out=z)
+            np.maximum(top2, z, out=top2)
+            np.maximum(top1, s_minus[c], out=top1)
+
+        for c in range(c_count):
+            np.add(a_all[c], shift, out=z)
+            score_into(z, s_plus, mask)
+            sums = z
+            np.subtract(base_sum, s_minus[c], out=sums)
+            sums += s_plus
+            maxes = cols
+            np.copyto(maxes, top1)
+            np.copyto(maxes, top2, where=np.equal(arg1, c, out=mask))
+            np.maximum(maxes, s_plus, out=maxes)
+            ratio = s_plus
+            if sums.min() > 0.0:
+                np.divide(maxes, sums, out=ratio)
+            else:  # a row with no signal (sum 0) reads as uniform
+                ratio.fill(1.0 / c_count)
+                np.divide(maxes, sums, out=ratio, where=np.greater(sums, 0.0, out=mask))
+            contrib = ratio
+            np.subtract(1.0, ratio, out=contrib)
             contrib[diag_r, diag_c] = 0.0  # the queried node is observed under every outcome
             risk[q0:q1] += weights[q0:q1, c] * contrib.sum(axis=1)
     return risk / n
@@ -486,20 +559,18 @@ def update_multiclass(
     """Absorb an observed class; per-class vectors roll by the same
     closed-form updates as selection, at the realized outcome."""
     mstate = session.mstate
-    qi = mstate.states[0].u_index(node)
-    keep = np.arange(len(mstate.unlabeled)) != qi
-    h_rows = []
-    f_rows = []
-    for c, st in enumerate(mstate.states):
-        y = 1.0 if c == observed_class else -1.0
-        h_rows.append(zlg_lookahead_harmonic(st, session.harmonics[:, c], node, y)[keep])
-        if session.decisions is not None:
-            f_rows.append(tsa_lookahead_decisions(st, session.decisions[:, c], node, y)[keep])
+    state = mstate.states[0]
+    qi = state.u_index(node)
+    y = np.where(np.arange(mstate.class_count) == observed_class, 1.0, -1.0)
+    h_next = np.delete(zlg_lookahead_harmonic(state, session.harmonics, node, y), qi, axis=0)
+    f_next = None
+    if session.decisions is not None:
+        f_next = np.delete(tsa_lookahead_decisions(state, session.decisions, node, y), qi, axis=0)
     return MulticlassSession(
         kind=session.kind,
         mstate=multiclass_update(mstate, node, observed_class),
-        harmonics=np.column_stack(h_rows) if h_rows else session.harmonics[keep],
-        decisions=np.column_stack(f_rows) if f_rows else None,
+        harmonics=h_next,
+        decisions=f_next,
     )
 
 

@@ -208,6 +208,16 @@ def test_trial_multiclass_dataset(tmp_path):
     assert rec.curve[-1] == 1.0  # 1 seed + 5 queries = all 6 nodes observed
 
 
+def test_trial_guards_are_scale_free():
+    # G scales as 1/beta; guards relative to max diag(G) must not fire at beta=1e12
+    ds = gen_chain(10, seed=5)
+    for beta in (1.0, 1e12):
+        assert run_trial(ds, StrategyKind.TSA, 9, seed=3, beta=beta).curve[-1] == 1.0
+    # harmonic values do not depend on beta, so neither do zlg's queries
+    zlg = [run_trial(ds, StrategyKind.ZLG, 9, seed=3, beta=beta).queries for beta in (1.0, 1e12)]
+    assert zlg[0] == zlg[1]
+
+
 def test_trial_is_reproducible():
     ds = gen_chain(12, seed=9)
     a = run_trial(ds, StrategyKind.RANDOM, budget=6, seed=42)

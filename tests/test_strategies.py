@@ -5,7 +5,7 @@ import pytest
 from graphal.errors import UsageError
 from graphal.graph_core import build_laplacian, graph_from_edges, init_label_state
 from graphal.inference import lp_harmonic, sigmoid, tsa_marginals
-from graphal.eem import tsa_risk_table
+from graphal.eem import tsa_lookahead_decisions, tsa_risk_table, zlg_lookahead_harmonic
 from graphal.strategies import (
     MulticlassState,
     StrategyKind,
@@ -295,21 +295,38 @@ def per_candidate_risk_table(mstate, kind, decisions, harmonics):
     return out
 
 
-@pytest.mark.parametrize("classes", [3, 4])
-@pytest.mark.parametrize("kind", [StrategyKind.TSA, StrategyKind.ZLG])
-def test_multiclass_risk_table_blocks_match_per_candidate_reference(kind, classes):
-    # ~90 candidates: several full candidate blocks plus a partial last one
-    rng = np.random.default_rng(41 + classes)
+def multiclass_session_after_downdates(kind, classes, seed, beta=1.0):
+    """A one-vs-rest session on a 100-node random graph after 8 commits."""
+    rng = np.random.default_rng(seed)
     graph = random_connected_graph(rng, n_max=100, n_min=100)
     truth = rng.integers(classes, size=graph.n)
     session = start_multiclass(
-        init_multiclass(build_laplacian(graph), [0], [truth[0]], classes), kind
+        init_multiclass(build_laplacian(graph, beta=beta), [0], [truth[0]], classes), kind
     )
     for _ in range(8):
         q = session.mstate.unlabeled[int(rng.integers(len(session.mstate.unlabeled)))]
         session = update_multiclass(session, q, int(truth[q]))
+    return session
+
+
+@pytest.mark.parametrize(
+    "classes, beta",
+    [(2, 1.0), (3, 1.0), (4, 1.0), (2, 1e4), (3, 1e4), (4, 1e4)],
+    ids=["2", "3", "4", "2-saturating", "3-saturating", "4-saturating"],
+)
+@pytest.mark.parametrize("kind", [StrategyKind.TSA, StrategyKind.ZLG])
+def test_multiclass_risk_table_blocks_match_per_candidate_reference(kind, classes, beta):
+    # ~90 candidates: several full candidate blocks plus a partial last one
+    session = multiclass_session_after_downdates(kind, classes, 41 + classes, beta=beta)
     g = session.mstate.states[0].inverse
     assert not np.array_equal(g, g.T)  # downdates leave G symmetric only to rounding
+    if kind is StrategyKind.TSA and beta > 1.0:
+        # large beta scales G down and the decision values up: the sweep
+        # snaps saturated sigmoids, and with C > 2 some rows saturate to 0
+        # in every class and fall back to uniform
+        assert np.abs(session.decisions).max() > 36.0
+        if classes > 2:
+            assert multiclass_marginals(session.mstate, session.decisions).fallback_rows > 0
 
     decisions = session.decisions if kind is StrategyKind.TSA else None
     fast = multiclass_risk_table(
@@ -317,6 +334,22 @@ def test_multiclass_risk_table_blocks_match_per_candidate_reference(kind, classe
     )
     slow = per_candidate_risk_table(session.mstate, kind, decisions, session.harmonics)
     assert np.array_equal(fast, slow)
+
+
+def test_matrix_lookaheads_match_per_class_calls():
+    session = multiclass_session_after_downdates(StrategyKind.TSA, 4, 7)
+    state = session.mstate.states[0]
+    for q in state.unlabeled[::15]:
+        for observed in range(4):
+            y = np.where(np.arange(4) == observed, 1.0, -1.0)
+            for lookahead, values in (
+                (tsa_lookahead_decisions, session.decisions),
+                (zlg_lookahead_harmonic, session.harmonics),
+            ):
+                per_class = np.column_stack(
+                    [lookahead(state, values[:, c], q, y[c]) for c in range(4)]
+                )
+                assert np.array_equal(lookahead(state, values, q, y), per_class)
 
 
 @pytest.mark.parametrize("kind", [StrategyKind.TSA, StrategyKind.ZLG])
