@@ -50,20 +50,21 @@ class Marginals:
     values: np.ndarray
 
 
-def sigmoid(z: np.ndarray) -> np.ndarray:
+def sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Logistic function, saturating to exact 0/1 past +/-36.
 
     Beyond the clamp the float64 logistic is within 2e-16 of the limit
     anyway; snapping makes downstream min(p, 1-p) risks exactly zero
-    instead of trailing noise.
+    instead of trailing noise.  ``out``, an array shaped like ``z``,
+    receives the result in place.
     """
     z = np.asarray(z, dtype=float)
-    out = scipy.special.expit(z)
+    out = scipy.special.expit(z, out=out)
     sat = DEFAULT_TOLERANCES.saturation
     if out.ndim == 0:
         return np.float64(1.0 if z > sat else 0.0 if z < -sat else out)
-    out[z > sat] = 1.0
-    out[z < -sat] = 0.0
+    np.copyto(out, 1.0, where=z > sat)
+    np.copyto(out, 0.0, where=z < -sat)
     return out
 
 

@@ -28,9 +28,7 @@ import enum
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.special
 
-from .config import DEFAULT_TOLERANCES
 from .errors import DegeneracyError, UsageError
 from .graph_core import LabelState, Laplacian, downdate_inverse, init_label_state
 from .eem import (
@@ -350,22 +348,12 @@ def multiclass_zero_one_risk(table: np.ndarray, n: int) -> float:
     return float((1.0 - table.max(axis=1)).sum() / n)
 
 
-def _sigmoid_into(z: np.ndarray, out: np.ndarray, mask: np.ndarray) -> None:
-    """``out[...] = sigmoid(z)``, snapped the same way, without temporaries."""
-    sat = DEFAULT_TOLERANCES.saturation
-    scipy.special.expit(z, out=out)
-    if z.max() > sat:
-        np.copyto(out, 1.0, where=np.greater(z, sat, out=mask))
-    if z.min() < -sat:
-        np.copyto(out, 0.0, where=np.less(z, -sat, out=mask))
-
-
-def _harmonic_prob_into(z: np.ndarray, out: np.ndarray, mask: np.ndarray) -> None:
-    """``out[...] = (clip(z, -1, 1) + 1) / 2``; ``mask`` is unused (same
-    signature as :func:`_sigmoid_into`)."""
-    np.clip(z, -1.0, 1.0, out=out)
+def _harmonic_prob(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """zlg's class probability ``(clip(z, -1, 1) + 1) / 2``, into ``out`` if given."""
+    out = np.clip(z, -1.0, 1.0, out=out)
     out += 1.0
     out /= 2.0
+    return out
 
 
 def multiclass_risk_table(
@@ -395,9 +383,10 @@ def multiclass_risk_table(
     is contiguous.  One fold over classes 0..C-1 gives the row sum of
     ``S-``, its largest and second largest value and the first class that
     holds the largest (a strict ``>`` keeps the lowest class on ties).
-    Every pass writes into scratch allocated once per call; the sigmoid
-    snap past +/-saturation and the uniform fallback for zero-sum rows run
-    only on blocks that have such entries.
+    Every pass writes into scratch allocated once per call: ``2C + 7``
+    float slabs of ``(BLOCK // C, |u|)``, i.e. ``(2C + 7) * (BLOCK // C) *
+    |u|`` floats (about 8.4 kB per unlabeled node at C=2, 5.8 kB at C=4),
+    plus an int and a bool slab.
 
     The result is bitwise equal to the per-candidate form (kept in the
     tests as the reference) because every quantity is computed by the
@@ -429,13 +418,13 @@ def multiclass_risk_table(
         weights = _normalize_rows(sigmoid(decisions))[0]
         values = np.ascontiguousarray(decisions.T)
         scaled = d * values  # d_k f_k^c
-        score_into = _sigmoid_into
+        score_into = sigmoid
     elif kind is StrategyKind.ZLG:
         if harmonics is None:
             harmonics = multiclass_harmonics(mstate)
-        weights = _normalize_rows((np.clip(harmonics, -1.0, 1.0) + 1.0) / 2.0)[0]
+        weights = _normalize_rows(_harmonic_prob(harmonics))[0]
         values = np.ascontiguousarray(harmonics.T)
-        score_into = _harmonic_prob_into
+        score_into = _harmonic_prob
     else:
         raise UsageError(f"{kind} has no expected-risk table")
 
@@ -481,10 +470,12 @@ def multiclass_risk_table(
                 np.multiply(shift, values[c, q0:q1, None], out=a)
                 np.subtract(values[c], a, out=a)
 
-        # one fold of S- over the classes: row sum, top two values, first argmax
+        # One fold of S- over the classes: row sum, top two values, first
+        # argmax.  From here on ``cols`` and ``z`` are dead; the outcome loop
+        # reuses them (and ``s_plus``) as scratch under other names.
         for c in range(c_count):
             np.subtract(a_all[c], shift, out=z)
-            score_into(z, s_minus[c], mask)
+            score_into(z, s_minus[c])
             if c == 0:
                 np.copyto(base_sum, s_minus[0])
                 np.copyto(top1, s_minus[0])
@@ -499,7 +490,7 @@ def multiclass_risk_table(
 
         for c in range(c_count):
             np.add(a_all[c], shift, out=z)
-            score_into(z, s_plus, mask)
+            score_into(z, s_plus)
             sums = z
             np.subtract(base_sum, s_minus[c], out=sums)
             sums += s_plus
@@ -508,11 +499,8 @@ def multiclass_risk_table(
             np.copyto(maxes, top2, where=np.equal(arg1, c, out=mask))
             np.maximum(maxes, s_plus, out=maxes)
             ratio = s_plus
-            if sums.min() > 0.0:
-                np.divide(maxes, sums, out=ratio)
-            else:  # a row with no signal (sum 0) reads as uniform
-                ratio.fill(1.0 / c_count)
-                np.divide(maxes, sums, out=ratio, where=np.greater(sums, 0.0, out=mask))
+            ratio.fill(1.0 / c_count)  # a row with no signal (sum 0) reads as uniform
+            np.divide(maxes, sums, out=ratio, where=np.greater(sums, 0.0, out=mask))
             contrib = ratio
             np.subtract(1.0, ratio, out=contrib)
             contrib[diag_r, diag_c] = 0.0  # the queried node is observed under every outcome
