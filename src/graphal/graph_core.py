@@ -5,7 +5,10 @@ labeled set (with +/-1 labels) and an unlabeled set, together with the dense
 inverse ``G = inv(L_uu)`` of the Laplacian restricted to the unlabeled
 block.  ``G`` is computed once by a symmetric positive-definite solve and
 afterwards kept current with a rank-one downdate each time a node is
-labeled, so per-step maintenance is O(|u|^2) instead of O(|u|^3).
+labeled, so per-step maintenance is O(|u|^2) instead of O(|u|^3).  The
+downdate writes the surviving block straight from slices of ``G`` (no
+index gather), and node positions are found by bisection on the
+ascending node tuples, so a commit does no O(|u|) Python work.
 
 Everything is dense by design: the target graphs (a few thousand nodes)
 fit comfortably, and the downdate rule is stated for dense inverses.
@@ -158,16 +161,12 @@ class LabelState:
     unlabeled: tuple[int, ...]
     inverse: np.ndarray
 
-    @cached_property
-    def _u_pos(self) -> dict[int, int]:
-        return {v: i for i, v in enumerate(self.unlabeled)}
-
     def u_index(self, node: int) -> int:
         """Position of an unlabeled node within the ``unlabeled`` ordering."""
-        try:
-            return self._u_pos[node]
-        except KeyError:
-            raise UsageError(f"node {node} is not unlabeled") from None
+        i = bisect.bisect_left(self.unlabeled, node)
+        if i == len(self.unlabeled) or self.unlabeled[i] != node:
+            raise UsageError(f"node {node} is not unlabeled")
+        return i
 
     @cached_property
     def singular_floor(self) -> float:
@@ -226,25 +225,29 @@ def init_label_state(lap: Laplacian, labeled, labels) -> LabelState:
     if len(y) != len(labeled):
         raise InputError(f"{len(labeled)} labeled nodes but {len(y)} labels")
 
+    lab_set = set(labeled)
     if lap.ridge == 0.0:
-        lab_set = set(labeled)
         for comp in positive_components(lap):
             if not lab_set.intersection(comp):
                 raise UnanchoredComponentError(comp)
 
-    unlabeled = tuple(v for v in range(lap.n) if v not in set(labeled))
+    unlabeled = tuple(v for v in range(lap.n) if v not in lab_set)
     m = len(unlabeled)
     if m == 0:
         inv = np.zeros((0, 0))
     else:
         iu = np.asarray(unlabeled, dtype=int)
-        luu = lap.matrix[np.ix_(iu, iu)]
+        # Gathered in Fortran order, so LAPACK factors it and solves against
+        # the identity in place: no hidden copies of the (|u|, |u|) block.
+        luu = lap.matrix.T[np.ix_(iu, iu)].T
         try:
-            cho = scipy.linalg.cho_factor(luu, lower=True)
+            cho = scipy.linalg.cho_factor(luu, lower=True, overwrite_a=True)
         except scipy.linalg.LinAlgError as exc:
             raise DegeneracyError(f"L_uu is not positive definite: {exc}") from exc
-        inv = scipy.linalg.cho_solve(cho, np.eye(m))
-        inv = (inv + inv.T) / 2.0  # exact symmetry so columns and rows interchange
+        raw = scipy.linalg.cho_solve(cho, np.eye(m, order="F"), overwrite_b=True)
+        del luu, cho  # the factor is dead; free it before the symmetric copy
+        inv = raw + raw.T  # exact symmetry so columns and rows interchange
+        inv /= 2.0
     inv.setflags(write=False)
     y = y.copy()
     y.setflags(write=False)
@@ -258,6 +261,13 @@ def downdate_inverse(state: LabelState, k: int, label: float) -> LabelState:
     of ``L_uu`` turns ``G`` into ``G' = G - G_{.k} G_{k.} / G_kk`` restricted
     to the survivors.  Cost O(|u|^2); the result matches a fresh inversion
     of the reduced block to machine precision.
+
+    The (|u|-1)^2 result is allocated once: the outer product
+    ``(col / pivot) col^T`` is written into it and then subtracted from the
+    four blocks of ``G`` around row and column ``k``, in place.  These are
+    the same two float operations per entry as gathering the survivors and
+    subtracting ``np.outer``, so the bits are the same, without the
+    gather's index arrays and copy.
     """
     qi = state.u_index(k)
     if label not in (1.0, -1.0, 1, -1):
@@ -267,14 +277,18 @@ def downdate_inverse(state: LabelState, k: int, label: float) -> LabelState:
     if pivot <= state.singular_floor:
         raise DegeneracyError(f"inverse diagonal at node {k} is {pivot:.3e}; cannot downdate")
 
-    keep = np.arange(len(state.unlabeled)) != qi
-    col = g[keep, qi]
-    new_inv = g[np.ix_(keep, keep)] - np.outer(col / pivot, col)
+    col = np.concatenate((g[:qi, qi], g[qi + 1:, qi]))
+    new_inv = np.multiply((col / pivot)[:, None], col, out=np.empty((col.size, col.size)))
+    before, after, rest = slice(None, qi), slice(qi + 1, None), slice(qi, None)
+    for src_r, dst_r in ((before, before), (after, rest)):
+        for src_c, dst_c in ((before, before), (after, rest)):
+            dst = new_inv[dst_r, dst_c]
+            np.subtract(g[src_r, src_c], dst, out=dst)
     new_inv.setflags(write=False)
 
     pos = bisect.bisect_left(state.labeled, k)
     new_labeled = state.labeled[:pos] + (k,) + state.labeled[pos:]
-    new_labels = np.insert(state.labels, pos, float(label))
+    new_labels = np.concatenate((state.labels[:pos], (float(label),), state.labels[pos:]))
     new_labels.setflags(write=False)
     new_unlabeled = state.unlabeled[:qi] + state.unlabeled[qi + 1:]
     return LabelState(

@@ -188,34 +188,42 @@ def _binary_truth(dataset: Dataset) -> np.ndarray:
     return np.where(dataset.labels == 1, 1.0, -1.0)
 
 
-def _run_with_streams(
-    dataset: Dataset,
-    lap: Laplacian,
-    kind: StrategyKind,
-    budget: int,
-    init_ss,
-    tie_ss,
-    seed_tag,
-) -> TrialRecord:
-    """One strategy's trial on ``lap``, the Laplacian shared by every strategy of the trial."""
+def _start_state(dataset: Dataset, lap: Laplacian, budget: int, init_ss):
+    """A trial's initial state: one uniformly random node, labeled by the truth.
+
+    The one factorization of the trial.  States are immutable values, so
+    every strategy of the trial starts from this same object.  The budget
+    is checked first, before any O(n^3) work.
+    """
     n = dataset.graph.n
     if not 0 <= budget <= n - 1:
         raise UsageError(f"budget must lie in 0..{n - 1}, got {budget}")
     initial = int(np.random.default_rng(init_ss).integers(n))
+    if dataset.class_count == 2:
+        return init_label_state(lap, [initial], [_binary_truth(dataset)[initial]])
+    return init_multiclass(lap, [initial], [dataset.labels[initial]], dataset.class_count)
+
+
+def _run_with_streams(
+    dataset: Dataset,
+    start,
+    kind: StrategyKind,
+    budget: int,
+    tie_ss,
+    seed_tag,
+) -> TrialRecord:
+    """One strategy's trial from ``start``, the trial's initial state shared by every strategy."""
     rng_tie = np.random.default_rng(tie_ss)
     curve = np.empty(budget + 1)
     queries: list[int] = []
 
-    # no local keeps the initial state: its inverse is freed after the first commit
     if dataset.class_count == 2:
         truth = _binary_truth(dataset)
-        session = start_binary(init_label_state(lap, [initial], [truth[initial]]), kind)
+        session = start_binary(start, kind)
         select, commit, predict = next_query, update, predict_binary
     else:
         truth = dataset.labels
-        session = start_multiclass(
-            init_multiclass(lap, [initial], [truth[initial]], dataset.class_count), kind
-        )
+        session = start_multiclass(start, kind)
         select, commit, predict = next_query_multiclass, update_multiclass, predict_multiclass
     curve[0] = float(np.mean(predict(session) == truth))
     for t in range(1, budget + 1):
@@ -243,7 +251,8 @@ def run_trial(
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     init_ss, tie_ss = ss.spawn(2)
     lap = build_laplacian(dataset.graph, beta=beta, ridge=ridge)
-    return _run_with_streams(dataset, lap, kind, budget, init_ss, tie_ss, seed)
+    start = _start_state(dataset, lap, budget, init_ss)
+    return _run_with_streams(dataset, start, kind, budget, tie_ss, seed)
 
 
 @dataclass(frozen=True)
@@ -282,7 +291,9 @@ def run_experiment(
     ``source`` is either a fixed :class:`Dataset` or a callable mapping a
     seed to one (toy generators — fresh ground truth every trial).  Every
     strategy sees identical per-trial conditions: same generated dataset,
-    same initial node, same tie-break stream.
+    same initial node, same tie-break stream.  Each trial builds its
+    Laplacian and factorizes its initial ``L_uu`` once; every strategy
+    starts from that one state.
     """
     if trials < 1:
         raise UsageError(f"trials must be >= 1, got {trials}")
@@ -304,8 +315,9 @@ def run_experiment(
         if name is None:
             name = dataset.name
         lap = build_laplacian(dataset.graph, beta=beta, ridge=ridge)
+        start = _start_state(dataset, lap, budget, init_ss)
         for kind in kinds:
-            rec = _run_with_streams(dataset, lap, kind, budget, init_ss, tie_ss, i)
+            rec = _run_with_streams(dataset, start, kind, budget, tie_ss, i)
             curves[kind][i] = rec.curve
             records.append(rec)
     return ExperimentResult(

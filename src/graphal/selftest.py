@@ -4,6 +4,10 @@ Each check pits an incremental/closed-form route against a from-scratch
 computation that shares no code with it:
 
 * downdate        -- rank-one inverse update vs. fresh factorization
+* long-downdate   -- downdates until every node is labeled, on graphs
+                     with edge weights spanning 1e-6..1e6, vs. fresh
+                     factorizations every ten commits (run on request:
+                     it fails at present, see :func:`check_long_downdate`)
 * lookahead       -- closed-form lookahead vectors vs. recomputing
                      marginals on a state that actually absorbed (q, y)
 * one-unlabeled   -- logistic decision-value marginal vs. exact
@@ -99,6 +103,43 @@ def check_downdate(rng: np.random.Generator, graphs: int, perturb: float = 0.0) 
         worst = max(worst, dev)
         cases += 1
     return CheckResult("downdate-equivalence", cases, worst, DEFAULT_TOLERANCES.equivalence)
+
+
+def check_long_downdate(
+    rng: np.random.Generator, graphs: int, perturb: float = 0.0, every: int = 10
+) -> CheckResult:
+    """Downdates until every node is labeled vs. fresh inversions on the way.
+
+    Graphs of 50-70 nodes with edge weights log-uniform over 1e-6..1e6, so
+    the inverse spans many orders of magnitude and rounding has every
+    chance to build up.  Every ``every`` commits the maintained inverse is
+    compared with a fresh factorization, relative to the largest diagonal
+    of the fresh inverse.
+
+    It fails at present, by up to about 1e-5.  Against a 200-bit inverse,
+    a first factorization (fresh ones too) is off by a few 1e-9 of
+    ``max diag(G)`` at this conditioning, and each downdate's rounding
+    stays at the scale ``G`` had when it was made, so it grows relative
+    to ``max diag(G)`` when labeling a weakly attached node shrinks it.
+    """
+    worst = 0.0
+    cases = 0
+    for _ in range(graphs):
+        tree = random_connected_graph(rng, n_max=70, n_min=50)
+        weights = 10.0 ** rng.uniform(-6.0, 6.0, size=len(tree.edges))
+        graph = graph_from_edges(tree.n, [(i, j, w) for (i, j, _), w in zip(tree.edges, weights)])
+        lap = build_laplacian(graph)
+        order = [int(v) for v in rng.permutation(graph.n)]
+        state = init_label_state(lap, order[:1], [1.0])
+        for t, k in enumerate(order[1:], start=1):
+            state = downdate_inverse(state, k, float(rng.choice([-1.0, 1.0])))
+            if t % every or not state.unlabeled:
+                continue
+            fresh = init_label_state(lap, state.labeled, state.labels).inverse
+            rel = (state.inverse - fresh) / fresh.diagonal().max()
+            worst = max(worst, float(np.max(np.abs(rel + perturb))))
+            cases += 1
+    return CheckResult("long-downdate-relative", cases, worst, 1e-12)
 
 
 def check_lookahead(rng: np.random.Generator, graphs: int, perturb: float = 0.0) -> CheckResult:
@@ -207,15 +248,20 @@ def check_eem_bruteforce(
     return CheckResult("eem-bruteforce-equivalence", cases, worst, 1e-10)
 
 
-def run_selftest(seed: int = 0, graphs: int = 50, perturb: float = 0.0) -> list[CheckResult]:
-    """All four oracle checks on independent seed streams."""
-    streams = np.random.SeedSequence(seed).spawn(4)
-    return [
+def run_selftest(
+    seed: int = 0, graphs: int = 50, perturb: float = 0.0, long_downdate: bool = False
+) -> list[CheckResult]:
+    """The four oracle checks, plus the long-run downdate check if asked, on independent streams."""
+    streams = np.random.SeedSequence(seed).spawn(5)
+    results = [
         check_downdate(np.random.default_rng(streams[0]), graphs, perturb),
         check_lookahead(np.random.default_rng(streams[1]), graphs, perturb),
         check_single_unlabeled(np.random.default_rng(streams[2]), graphs, perturb),
         check_eem_bruteforce(np.random.default_rng(streams[3]), min(graphs, 20), perturb),
     ]
+    if long_downdate:
+        results.append(check_long_downdate(np.random.default_rng(streams[4]), graphs, perturb))
+    return results
 
 
 def format_report(results: list[CheckResult]) -> str:

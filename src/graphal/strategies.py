@@ -42,6 +42,10 @@ from .eem import (
 )
 from .inference import lp_harmonic, sigmoid, tsa_marginals
 
+#: Cells per class slab of a one-vs-rest candidate block: rows are capped at
+#: this over |u| so the block's scratch stays in cache on large graphs.
+MULTICLASS_BLOCK_CELLS = 36_000
+
 
 class StrategyKind(enum.Enum):
     """Selection rule identifiers, matching their CLI spellings."""
@@ -148,6 +152,11 @@ def next_query(session: BinarySession, rng: np.random.Generator | None = None) -
     return _choose(session.kind, session.state, risk_table, rng)
 
 
+def _drop_row(a: np.ndarray, i: int) -> np.ndarray:
+    """``a`` without row ``i``: ``np.delete(a, i, axis=0)`` by two slices."""
+    return np.concatenate((a[:i], a[i + 1:]))
+
+
 def update(session: BinarySession, node: int, label: float) -> BinarySession:
     """Absorb an observed label: downdate the inverse, roll the vectors.
 
@@ -157,10 +166,10 @@ def update(session: BinarySession, node: int, label: float) -> BinarySession:
     """
     state = session.state
     qi = state.u_index(node)
-    h_next = np.delete(zlg_lookahead_harmonic(state, session.harmonic, node, label), qi)
+    h_next = _drop_row(zlg_lookahead_harmonic(state, session.harmonic, node, label), qi)
     f_next = None
     if session.decisions is not None:
-        f_next = np.delete(tsa_lookahead_decisions(state, session.decisions, node, label), qi)
+        f_next = _drop_row(tsa_lookahead_decisions(state, session.decisions, node, label), qi)
     return replace(
         session,
         state=downdate_inverse(state, node, label),
@@ -261,7 +270,8 @@ def multiclass_update(mstate: MulticlassState, node: int, observed_class: int) -
     base = downdate_inverse(old, node, 1.0 if observed_class == 0 else -1.0)
     states = [base]
     for cls in range(1, mstate.class_count):
-        y = np.insert(mstate.states[cls].labels, pos, 1.0 if observed_class == cls else -1.0)
+        old_y = mstate.states[cls].labels
+        y = np.concatenate((old_y[:pos], (1.0 if observed_class == cls else -1.0,), old_y[pos:]))
         y.setflags(write=False)
         states.append(
             LabelState(
@@ -378,15 +388,17 @@ def multiclass_risk_table(
     patched from the top-2 statistics of ``S-`` instead of rebuilt per
     outcome.
 
-    Candidates are swept in blocks of ``BLOCK // C`` rows.  The per-class
-    values are laid out class-major, (C, rows, |u|), so every class slab
-    is contiguous.  One fold over classes 0..C-1 gives the row sum of
-    ``S-``, its largest and second largest value and the first class that
-    holds the largest (a strict ``>`` keeps the lowest class on ties).
+    Candidates are swept in blocks of ``rows = min(BLOCK // C,
+    MULTICLASS_BLOCK_CELLS // |u|)`` (at least 1), so a block's scratch
+    stays bounded as |u| grows.  The per-class values are laid out
+    class-major, (C, rows, |u|), so every class slab is contiguous.  One
+    fold over classes 0..C-1 gives the row sum of ``S-``, its largest and
+    second largest value and the first class that holds the largest (a
+    strict ``>`` keeps the lowest class on ties).
     Every pass writes into scratch allocated once per call: ``2C + 7``
-    float slabs of ``(BLOCK // C, |u|)``, i.e. ``(2C + 7) * (BLOCK // C) *
-    |u|`` floats (about 8.4 kB per unlabeled node at C=2, 5.8 kB at C=4),
-    plus an int and a bool slab.
+    float slabs of ``(rows, |u|)``, i.e. at most ``(2C + 7) *
+    MULTICLASS_BLOCK_CELLS`` floats (3.2 MB at C=2, 4.3 MB at C=4) while
+    |u| <= MULTICLASS_BLOCK_CELLS, plus an int and a bool slab.
 
     The result is bitwise equal to the per-candidate form (kept in the
     tests as the reference) because every quantity is computed by the
@@ -428,7 +440,7 @@ def multiclass_risk_table(
     else:
         raise UsageError(f"{kind} has no expected-risk table")
 
-    step = min(m, max(1, BLOCK // c_count))
+    step = min(m, max(1, min(BLOCK // c_count, MULTICLASS_BLOCK_CELLS // m)))
     work = np.empty((2 * c_count + 7, step, m))  # scratch for the whole sweep
     arg1_buf = np.empty((step, m), dtype=np.intp)
     mask_buf = np.empty((step, m), dtype=bool)
@@ -550,10 +562,10 @@ def update_multiclass(
     state = mstate.states[0]
     qi = state.u_index(node)
     y = np.where(np.arange(mstate.class_count) == observed_class, 1.0, -1.0)
-    h_next = np.delete(zlg_lookahead_harmonic(state, session.harmonics, node, y), qi, axis=0)
+    h_next = _drop_row(zlg_lookahead_harmonic(state, session.harmonics, node, y), qi)
     f_next = None
     if session.decisions is not None:
-        f_next = np.delete(tsa_lookahead_decisions(state, session.decisions, node, y), qi, axis=0)
+        f_next = _drop_row(tsa_lookahead_decisions(state, session.decisions, node, y), qi)
     return MulticlassSession(
         kind=session.kind,
         mstate=multiclass_update(mstate, node, observed_class),

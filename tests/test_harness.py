@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
+from graphal import harness
 from graphal.errors import InputError, ParseError, UsageError
 from graphal.harness import (
     Dataset,
@@ -15,6 +16,7 @@ from graphal.harness import (
     run_trial,
     write_csv,
 )
+from graphal.selftest import random_connected_graph
 from graphal.strategies import StrategyKind
 
 
@@ -258,6 +260,38 @@ def test_experiment_accepts_fixed_dataset():
     res = run_experiment(ds, [StrategyKind.ZLG], 4, 3, 0)
     assert res.name == "chain10"
     assert res.curves[StrategyKind.ZLG].shape == (3, 5)
+
+
+@pytest.mark.parametrize("classes", [2, 3], ids=["binary", "multiclass"])
+def test_experiment_factorizes_once_per_trial(monkeypatch, classes):
+    rng = np.random.default_rng(classes)
+    graph = random_connected_graph(rng, n_max=25, n_min=25)
+    ds = Dataset("random25", graph, rng.integers(classes, size=graph.n), classes)
+    kinds = list(StrategyKind)
+    name = "init_label_state" if classes == 2 else "init_multiclass"
+    original = getattr(harness, name)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(harness, name, counting)
+    with pytest.raises(UsageError):
+        run_experiment(ds, kinds, graph.n, 3, 4)  # budget out of range
+    assert calls == []  # rejected before any factorization
+    shared = run_experiment(ds, kinds, 8, 3, 4)
+    assert len(calls) == 3  # one per trial, not one per trial and strategy
+    monkeypatch.undo()
+
+    # a strategy run alone starts from its own state, built just for it
+    fresh = [rec for kind in kinds for rec in run_experiment(ds, [kind], 8, 3, 4).records]
+    by_key = {(rec.kind, rec.seed): rec for rec in fresh}
+    assert len(shared.records) == len(by_key) == 3 * len(kinds)
+    for rec in shared.records:
+        alone = by_key[(rec.kind, rec.seed)]
+        assert rec.queries == alone.queries
+        assert np.array_equal(rec.curve, alone.curve)
 
 
 def test_experiment_input_validation():

@@ -5,8 +5,9 @@ import pytest
 from graphal.errors import UsageError
 from graphal.graph_core import build_laplacian, graph_from_edges, init_label_state
 from graphal.inference import lp_harmonic, sigmoid, tsa_marginals
-from graphal.eem import tsa_lookahead_decisions, tsa_risk_table, zlg_lookahead_harmonic
+from graphal.eem import BLOCK, tsa_lookahead_decisions, tsa_risk_table, zlg_lookahead_harmonic
 from graphal.strategies import (
+    MULTICLASS_BLOCK_CELLS,
     MulticlassState,
     StrategyKind,
     init_multiclass,
@@ -295,10 +296,10 @@ def per_candidate_risk_table(mstate, kind, decisions, harmonics):
     return out
 
 
-def multiclass_session_after_downdates(kind, classes, seed, beta=1.0):
-    """A one-vs-rest session on a 100-node random graph after 8 commits."""
+def multiclass_session_after_downdates(kind, classes, seed, beta=1.0, n=100):
+    """A one-vs-rest session on an n-node random graph after 8 commits."""
     rng = np.random.default_rng(seed)
-    graph = random_connected_graph(rng, n_max=100, n_min=100)
+    graph = random_connected_graph(rng, n_max=n, n_min=n)
     truth = rng.integers(classes, size=graph.n)
     session = start_multiclass(
         init_multiclass(build_laplacian(graph, beta=beta), [0], [truth[0]], classes), kind
@@ -310,14 +311,18 @@ def multiclass_session_after_downdates(kind, classes, seed, beta=1.0):
 
 
 @pytest.mark.parametrize(
-    "classes, beta",
-    [(2, 1.0), (3, 1.0), (4, 1.0), (2, 1e4), (3, 1e4), (4, 1e4)],
-    ids=["2", "3", "4", "2-saturating", "3-saturating", "4-saturating"],
+    "classes, beta, n",
+    [(2, 1.0, 100), (3, 1.0, 100), (4, 1.0, 100), (2, 1e4, 100), (3, 1e4, 100), (4, 1e4, 100),
+     (2, 1.0, 460)],
+    ids=["2", "3", "4", "2-saturating", "3-saturating", "4-saturating", "2-capped"],
 )
 @pytest.mark.parametrize("kind", [StrategyKind.TSA, StrategyKind.ZLG])
-def test_multiclass_risk_table_blocks_match_per_candidate_reference(kind, classes, beta):
-    # ~90 candidates: several full candidate blocks plus a partial last one
-    session = multiclass_session_after_downdates(kind, classes, 41 + classes, beta=beta)
+def test_multiclass_risk_table_blocks_match_per_candidate_reference(kind, classes, beta, n):
+    # ~90 candidates: several full candidate blocks plus a partial last one;
+    # at n=460 the cell budget caps the 96-row blocks at 79 rows
+    session = multiclass_session_after_downdates(kind, classes, 41 + classes, beta=beta, n=n)
+    m = len(session.mstate.unlabeled)
+    assert (MULTICLASS_BLOCK_CELLS // m < BLOCK // classes) == (n > 100)
     g = session.mstate.states[0].inverse
     assert not np.array_equal(g, g.T)  # downdates leave G symmetric only to rounding
     if kind is StrategyKind.TSA and beta > 1.0:
