@@ -149,9 +149,7 @@ def cmd_selftest(args) -> int:
     """Run the oracle-equivalence checks; nonzero exit on any failure."""
     from .selftest import format_report, run_selftest
 
-    results = run_selftest(
-        seed=args.seed, graphs=args.graphs, perturb=args.perturb, long_downdate=args.long_downdate
-    )
+    results = run_selftest(seed=args.seed, graphs=args.graphs, perturb=args.perturb)
     print(format_report(results))
     return 0 if all(r.passed for r in results) else 1
 
@@ -193,7 +191,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0, help="corpus seed")
     p.add_argument("--graphs", type=int, default=50, help="graphs per check")
     p.add_argument("--perturb", type=float, default=0.0, help="bias injected into the fast routes (forces failure)")
-    p.add_argument("--long-downdate", action="store_true", help="also run the long-run downdate check (fails at present)")
     p.set_defaults(func=cmd_selftest)
     return parser
 

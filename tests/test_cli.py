@@ -176,12 +176,6 @@ def test_selftest_passes_and_reports(capsys):
     assert "downdate-equivalence" in out
 
 
-def test_selftest_runs_long_downdate_check_on_request(capsys):
-    _, out, _ = run(capsys, "selftest", "--graphs", "2", "--long-downdate")
-    assert len(out.splitlines()) == 5  # the four default checks and the long run
-    assert "long-downdate-relative" in out
-
-
 def test_selftest_perturbation_forces_failure(capsys):
     code, out, _ = run(capsys, "selftest", "--graphs", "3", "--perturb", "1e-3")
     assert code == 1
