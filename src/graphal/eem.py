@@ -16,10 +16,14 @@ one-step update from the maintained inverse ``G`` (no refactorization):
 so one selection sweep costs O(|u|^2).  ``tsa_risk_table`` and
 ``zlg_risk_table`` evaluate all candidates at once in cache-friendly row
 blocks, reusing preallocated scratch (:class:`Workspace`) so steady-state
-selection does no large allocations.
+selection does no large allocations.  The tsa table's per-node risk
+``min(p, 1-p) = 1 / (1 + exp|f+|)`` comes from ``inference._logistic_tail``,
+the vectorized-``exp`` kernel behind ``sigmoid``; its bits differ from
+``scipy.special.expit`` by a few ULP, the choices made from it do not.
 
 ``lookahead_risk`` is the plain per-candidate form of the same quantity,
-kept around as the readable reference the tables are tested against; with
+kept around as the readable reference the tables are tested against (its
+tsa branch still calls ``scipy.special.expit``); with
 ``MarginalKind.EXACT`` it re-enumerates the posterior and serves as the
 oracle for the fast routes.
 """
@@ -34,6 +38,7 @@ from .graph_core import LabelState, downdate_inverse
 from .inference import (
     MarginalKind,
     Marginals,
+    _logistic_tail,
     exact_bmrf_marginals,
     lp_harmonic,
     sigmoid,
@@ -248,8 +253,7 @@ def tsa_risk_table(
             num += a[None, :]
             num /= denom
             np.abs(num, out=num)
-            np.negative(num, out=num)
-            scipy.special.expit(num, out=num)
+            _logistic_tail(num, out=num)  # min(p, 1 - p) = sigmoid(-|f+|)
             num[diag_r, diag_c] = 0.0  # just-queried node is certain
             np.sum(num, axis=1, out=out_vec[q0:q1])
 

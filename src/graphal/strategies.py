@@ -178,6 +178,11 @@ def update(session: BinarySession, node: int, label: float) -> BinarySession:
     )
 
 
+def _node_index(nodes: tuple[int, ...]) -> np.ndarray:
+    """A node tuple as an index array, built in C (no Python list per call)."""
+    return np.fromiter(nodes, dtype=np.intp, count=len(nodes))
+
+
 def predict_binary(session: BinarySession) -> np.ndarray:
     """+/-1 prediction for every node: observed labels, else harmonic sign.
 
@@ -186,8 +191,8 @@ def predict_binary(session: BinarySession) -> np.ndarray:
     """
     state = session.state
     out = np.empty(state.n)
-    out[list(state.labeled)] = state.labels
-    out[list(state.unlabeled)] = np.where(session.harmonic >= 0.0, 1.0, -1.0)
+    out[_node_index(state.labeled)] = state.labels
+    out[_node_index(state.unlabeled)] = np.where(session.harmonic >= 0.0, 1.0, -1.0)
     return out
 
 
@@ -582,7 +587,7 @@ def predict_multiclass(session: MulticlassSession) -> np.ndarray:
     mstate = session.mstate
     out = np.empty(mstate.n, dtype=int)
     label_mat = _class_label_matrix(mstate)
-    out[list(mstate.labeled)] = np.argmax(label_mat, axis=1)
+    out[_node_index(mstate.labeled)] = np.argmax(label_mat, axis=1)
     if mstate.unlabeled:
-        out[list(mstate.unlabeled)] = np.argmax(session.harmonics, axis=1)
+        out[_node_index(mstate.unlabeled)] = np.argmax(session.harmonics, axis=1)
     return out

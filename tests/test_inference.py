@@ -1,14 +1,18 @@
 """Marginal routes: harmonic, logistic decision values, exact enumeration."""
 import itertools
+import warnings
 
 import numpy as np
 import pytest
 import scipy.special
 
+from graphal.config import DEFAULT_TOLERANCES
+from graphal.eem import tsa_risk_table
 from graphal.errors import CapacityError
 from graphal.graph_core import build_laplacian, graph_from_edges, init_label_state
 from graphal.inference import (
     MarginalKind,
+    _logistic_tail,
     exact_bmrf_marginals,
     lp_harmonic,
     sigmoid,
@@ -48,6 +52,64 @@ def test_sigmoid_saturates_exactly():
     out = sigmoid(np.array([-40.0, 40.0, np.inf, -np.inf]))
     assert np.array_equal(out, [0.0, 1.0, 1.0, 0.0])
     assert sigmoid(np.float64(50.0)) == 1.0  # scalar path
+
+
+KERNEL_INPUTS = np.concatenate(
+    (np.linspace(-800.0, 800.0, 200_001), [710.0, -710.0, np.inf, -np.inf, np.nan])
+)
+
+
+def assert_within_ulps(got, ref, ulps=8):
+    """Equal NaN positions; elsewhere within ``ulps`` units in the last place.
+
+    Results below the smallest normal float count as zero: the kernel
+    returns exactly 0 where ``exp`` overflows and ``expit`` may still give
+    a subnormal.
+    """
+    nan = np.isnan(ref)
+    assert np.array_equal(np.isnan(got), nan)
+    got, ref = got[~nan], ref[~nan]
+    gap = np.abs(got - ref)
+    scale = np.spacing(np.maximum(np.abs(got), np.abs(ref)))
+    assert np.all(gap <= ulps * scale + np.finfo(float).tiny)
+
+
+def test_sigmoid_and_tsa_tail_agree_with_expit_within_a_few_ulp():
+    z = KERNEL_INPUTS
+    sat = DEFAULT_TOLERANCES.saturation
+    snapped = np.where(z > sat, 1.0, np.where(z < -sat, 0.0, scipy.special.expit(z)))
+    assert_within_ulps(sigmoid(z), snapped)
+    # the tsa table's min(p, 1 - p) = sigmoid(-|f|), unsnapped
+    tail = _logistic_tail(np.abs(z), np.empty_like(z))
+    assert_within_ulps(tail, scipy.special.expit(-np.abs(z)))
+    assert _logistic_tail(np.array([710.0, np.inf]), np.empty(2)).tolist() == [0.0, 0.0]
+
+
+def test_sigmoid_zero_d_input_and_aliased_out():
+    for z in (0.0, np.float64(-0.5), np.array(3.0)):
+        p = sigmoid(z)
+        assert isinstance(p, np.float64)
+        assert_within_ulps(np.array([p]), scipy.special.expit(np.array([z], dtype=float)))
+    assert sigmoid(np.array(-40.0)) == 0.0
+    z = np.array([[-40.0, -1.5, 0.0], [2.0, 36.5, np.nan]])
+    expected = sigmoid(z.copy())
+    out = sigmoid(z, out=z)
+    assert out is z
+    assert np.array_equal(z, expected, equal_nan=True)
+    assert z[0, 0] == 0.0 and z[1, 1] == 1.0  # the snap still reads the input
+
+
+def test_logistic_kernels_raise_no_warning():
+    z = KERNEL_INPUTS
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sigmoid(z)
+        sigmoid(np.float64(-800.0))
+        _logistic_tail(np.abs(z), np.empty_like(z))
+        # decision values ~1e6 overflow exp inside the tsa table
+        state = chain_state(**DEMO_CHAIN, beta=1e6)
+        table = tsa_risk_table(state)
+    assert np.all(np.isfinite(table))
 
 
 # --- harmonic ---------------------------------------------------------------
