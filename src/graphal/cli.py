@@ -11,8 +11,8 @@ import sys
 
 from .config import DEFAULT_BETA, DEFAULT_ENUM_CAP
 from .errors import GraphalError, UsageError
-from .graph_core import Graph, graph_from_edges, build_laplacian, init_label_state, read_edge_list
-from .harness import TOY_GENERATORS, _grid_edges, GRID_SIDE, load_dataset, run_experiment, write_csv
+from .graph_core import Graph, build_laplacian, init_label_state, read_edge_list
+from .harness import TOY_GENERATORS, gen_chain, gen_jittered_grid, load_dataset, run_experiment, write_csv
 from .inference import exact_bmrf_marginals, lp_harmonic, tsa_marginals, zlg_marginals
 from .strategies import StrategyKind
 
@@ -62,8 +62,8 @@ def _resolve_graph(args) -> Graph:
     if args.chain:
         if args.chain < 2:
             raise UsageError(f"--chain needs N >= 2, got {args.chain}")
-        return graph_from_edges(args.chain, [(i, i + 1, 1.0) for i in range(args.chain - 1)])
-    return graph_from_edges(GRID_SIDE * GRID_SIDE, _grid_edges())
+        return gen_chain(args.chain, 0).graph  # the chain and grid graphs do not depend on the seed
+    return gen_jittered_grid(0).graph
 
 
 def cmd_marginals(args) -> int:

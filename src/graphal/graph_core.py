@@ -1,5 +1,9 @@
 """Weighted graphs, Laplacians, and the maintained unlabeled-block inverse.
 
+A :class:`Graph` holds its edges as read-only arrays in input order, so
+ingest (parse, validate, Laplacian, component labels) is array work; only
+the error path reads rows one at a time, to name the first bad line.
+
 The central object is :class:`LabelState`: a partition of the nodes into a
 labeled set (with +/-1 labels) and an unlabeled set, together with the dense
 inverse ``G = inv(L_uu)`` of the Laplacian restricted to the unlabeled
@@ -18,6 +22,7 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 
 import numpy as np
 import scipy.linalg
@@ -31,48 +36,62 @@ from .errors import (
     UsageError,
 )
 
+_CHUNK_CHARS = 1 << 16  # readlines() size hint: one chunk's token lists bound the reader's memory
+_MAX_NODE_ID = np.iinfo(np.int64).max
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False)
 class Graph:
     """Undirected weighted graph on nodes ``0..n-1``.
 
-    Edges are canonical ``(i, j, w)`` triples with ``i < j`` and ``w >= 0``;
-    at most one edge per unordered pair, no self-loops.
+    Edge ``k`` is ``(src[k], dst[k], weight[k])``, read-only int64/float64
+    copies of the arguments, in the caller's (a file's) order, with
+    ``src < dst`` and finite ``weight >= 0``; one edge per unordered pair.
     """
 
     n: int
-    edges: tuple[tuple[int, int, float], ...]
+    src: np.ndarray
+    dst: np.ndarray
+    weight: np.ndarray
 
     def __post_init__(self):
-        if self.n < 1:
-            raise InputError(f"graph needs at least one node, got n={self.n}")
-        seen = set()
-        for i, j, w in self.edges:
+        n = self.n
+        if n < 1:
+            raise InputError(f"graph needs at least one node, got n={n}")
+        src, dst = (np.array(a, dtype=np.int64) for a in (self.src, self.dst))
+        w = np.array(self.weight, dtype=np.float64)
+        if not src.shape == dst.shape == w.shape == (src.size,):
+            raise InputError("edge arrays must be 1-d and of one length")
+        for name, a in (("src", src), ("dst", dst), ("weight", w)):
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
+        bad = (src < 0) | (dst >= n) | (src >= dst) | ~(np.isfinite(w) & (w >= 0))
+        key = src * n + dst  # may collide only for edges that are bad anyway
+        order = np.argsort(key, kind="stable")
+        bad[order[1:][key[order[1:]] == key[order[:-1]]]] = True  # later copies of a pair
+        if bad.any():
+            k = int(np.argmax(bad))
+            i, j, wk = int(src[k]), int(dst[k]), float(w[k])
             if i == j:
                 raise InputError(f"self-loop on node {i}")
-            if not (0 <= i < self.n and 0 <= j < self.n):
-                raise InputError(f"edge ({i}, {j}) outside node range 0..{self.n - 1}")
+            if not (0 <= i < n and 0 <= j < n):
+                raise InputError(f"edge ({i}, {j}) outside node range 0..{n - 1}")
             if i > j:
                 raise InputError(f"edge ({i}, {j}) not canonical (need i < j)")
-            if not np.isfinite(w) or w < 0:
-                raise InputError(f"edge ({i}, {j}) has invalid weight {w}")
-            if (i, j) in seen:
-                raise InputError(f"duplicate edge ({i}, {j})")
-            seen.add((i, j))
+            if not np.isfinite(wk) or wk < 0:
+                raise InputError(f"edge ({i}, {j}) has invalid weight {wk}")
+            raise InputError(f"duplicate edge ({i}, {j})")
+
+    @cached_property
+    def edges(self) -> tuple[tuple[int, int, float], ...]:
+        """The edges as ``(i, j, w)`` tuples, for code that walks them one by one."""
+        return tuple(zip(self.src.tolist(), self.dst.tolist(), self.weight.tolist()))
 
 
 def graph_from_edges(n: int, edges) -> Graph:
-    """Build a :class:`Graph`, canonicalizing edge orientation."""
-    canon = []
-    for e in edges:
-        if len(e) == 2:
-            i, j, w = e[0], e[1], 1.0
-        else:
-            i, j, w = e
-        if i > j:
-            i, j = j, i
-        canon.append((int(i), int(j), float(w)))
-    return Graph(n=n, edges=tuple(canon))
+    """Build a :class:`Graph` from ``(i, j[, w])`` tuples (w defaults to 1.0), canonicalizing orientation."""
+    rows = np.array([e if len(e) == 3 else (*e, 1.0) for e in edges], dtype=np.float64).reshape(-1, 3)
+    return Graph(n, rows[:, :2].min(axis=1), rows[:, :2].max(axis=1), rows[:, 2])
 
 
 @dataclass(frozen=True)
@@ -82,10 +101,13 @@ class Laplacian:
     ``matrix`` holds ``beta * L + ridge * I``.  With ``ridge == 0`` the rows
     sum to zero and any connected component without a labeled node makes
     the unlabeled block singular; a positive ridge makes the block
-    invertible unconditionally.
+    invertible unconditionally.  ``component_of[v]`` is the smallest node
+    of ``v``'s connected component along the edges whose entry in
+    ``matrix`` is negative, i.e. of strictly positive weight.
     """
 
     matrix: np.ndarray
+    component_of: np.ndarray
     beta: float = DEFAULT_BETA
     ridge: float = 0.0
 
@@ -97,52 +119,60 @@ class Laplacian:
 def build_laplacian(graph: Graph, beta: float = DEFAULT_BETA, ridge: float = 0.0) -> Laplacian:
     """Assemble ``beta * L`` (plus optional ``ridge * I``) for a graph.
 
-    ``L[i, j] = -w_ij`` off-diagonal and ``L[i, i] = sum_k w_ik``.
+    ``L[i, j] = -w_ij`` off-diagonal and ``L[i, i] = sum_k w_ik``, summed
+    in edge order: the bits are those of adding each edge in turn.
     """
     if beta <= 0:
         raise InputError(f"beta must be positive, got {beta}")
     if ridge < 0:
         raise InputError(f"ridge must be nonnegative, got {ridge}")
-    n = graph.n
+    n, src, dst, w = graph.n, graph.src, graph.dst, graph.weight
     m = np.zeros((n, n))
-    for i, j, w in graph.edges:
-        m[i, i] += w
-        m[j, j] += w
-        m[i, j] -= w
-        m[j, i] -= w
+    m[src, dst] = m[dst, src] = 0.0 - w  # not -w: a zero weight gives +0.0, not -0.0
+    # end points interleaved (i0, j0, i1, j1, ...) so that each node's weights
+    # add in edge order; all i's before all j's would change the last bits
+    ends = np.column_stack((src, dst)).ravel()
+    np.fill_diagonal(m, np.bincount(ends, weights=np.repeat(w, 2), minlength=n))
     m *= beta
     if ridge:
         m[np.diag_indices(n)] += ridge
     m.setflags(write=False)
-    return Laplacian(matrix=m, beta=beta, ridge=ridge)
+    positive = m[src, dst] < 0
+    labels = _component_labels(n, src[positive], dst[positive])
+    labels.setflags(write=False)
+    return Laplacian(matrix=m, component_of=labels, beta=beta, ridge=ridge)
+
+
+def _component_labels(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """The smallest node of each node's connected component along the given edges.
+
+    Min-label hooking with pointer jumping: each round hooks every tree
+    root to the smallest root across its edges (so roots only decrease),
+    then jumps pointers until every node points at its root.
+    """
+    label = np.arange(n)
+    while True:
+        a, b = label[src], label[dst]
+        joins = a != b
+        if not joins.any():
+            return label
+        a, b = a[joins], b[joins]
+        low = np.minimum(a, b)
+        np.minimum.at(label, a, low)
+        np.minimum.at(label, b, low)
+        while not np.array_equal(up := label[label], label):
+            label = up
 
 
 def positive_components(lap: Laplacian) -> list[tuple[int, ...]]:
     """Connected components under strictly positive edge weights.
 
-    Recovered from the matrix off-diagonals so it works for any state,
-    ridged or not (the ridge only touches the diagonal).
+    Ascending node tuples, in order of their smallest node, read from the
+    labels :func:`build_laplacian` keeps (the ridge does not enter them).
     """
-    n = lap.n
-    m = lap.matrix
-    seen = np.zeros(n, dtype=bool)
-    comps = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        stack = [start]
-        seen[start] = True
-        comp = []
-        while stack:
-            v = stack.pop()
-            comp.append(v)
-            nbrs = np.flatnonzero(m[v] < 0)
-            for w in nbrs:
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append(int(w))
-        comps.append(tuple(sorted(comp)))
-    return comps
+    order = np.argsort(lap.component_of, kind="stable")
+    cuts = np.flatnonzero(np.diff(lap.component_of[order])) + 1
+    return [tuple(part.tolist()) for part in np.split(order, cuts)]
 
 
 @dataclass(frozen=True)
@@ -310,46 +340,88 @@ def inverse_residual(state: LabelState) -> float:
     return float(np.max(np.abs(state.inverse @ luu - np.eye(m))))
 
 
+def read_table(path: str, widths: set[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """The ``int int [float]`` rows of a text file, read a bounded chunk of lines at a time.
+
+    Skips blank lines and comments (``#`` as first non-blank character);
+    other rows must have a token count in ``widths``.  Returns the int64
+    columns, the float64 one (1.0 in two-token rows), all through Python's
+    ``int``/``float``, and the line count of text-mode iteration.  A bad
+    row raises ``ValueError`` or ``OverflowError``.
+    """
+    cols, lines = ([np.empty(0, np.int64)], [np.empty(0, np.int64)], [np.empty(0)]), 0
+    with open(path, "r", encoding="utf-8") as fh:
+        for chunk in iter(lambda: fh.readlines(_CHUNK_CHARS), []):
+            lines += len(chunk)
+            rows = list(map(str.split, chunk))
+            if not all(rows) or "#" in "".join(chunk):
+                rows = [r for r in rows if r and r[0][0] != "#"]
+            if not set(map(len, rows)) <= widths:
+                raise ValueError(f"a row without {widths} tokens")
+            for c in (0, 1):
+                cols[c].append(np.fromiter(map(int, map(itemgetter(c), rows)), np.int64, len(rows)))
+            weights = (float(r[2]) if len(r) == 3 else 1.0 for r in rows)
+            cols[2].append(np.fromiter(weights, np.float64, len(rows)))
+    return (*map(np.concatenate, cols), lines)
+
+
+def raise_first_bad_row(path: str, row_fault) -> None:
+    """Raise :class:`ParseError` at the first line of ``path`` that ``row_fault`` rejects.
+
+    ``row_fault(line, tokens, seen)`` sees each stripped data row in turn,
+    with one set ``seen`` for duplicates, and returns a message for a bad one.
+    """
+    seen: set = set()
+    with open(path, "r", encoding="utf-8") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if line and not line.startswith("#") and (fault := row_fault(line, line.split(), seen)):
+                raise ParseError(path, line_no, fault)
+
+
+def _edge_row_fault(line: str, parts: list[str], seen: set) -> str | None:
+    if len(parts) not in (2, 3):
+        return f"expected 'i j [w]', got {line!r}"
+    try:
+        i, j = int(parts[0]), int(parts[1])
+        w = float(parts[2]) if len(parts) == 3 else 1.0
+    except ValueError:
+        return f"malformed numbers in {line!r}"
+    if i < 1 or j < 1:
+        return "node ids are 1-based and positive"
+    if i == j:
+        return f"self-loop on node {i}"
+    if w < 0 or not np.isfinite(w):
+        return f"invalid weight {w}"
+    pair = (min(i, j), max(i, j))
+    if pair in seen:
+        return f"duplicate edge {i} {j}"
+    if pair[1] > _MAX_NODE_ID:
+        return f"node id {pair[1]} too large"
+    seen.add(pair)
+    return None
+
+
 def read_edge_list(path, n: int | None = None) -> Graph:
     """Parse the text edge-list format.
 
     One edge per line, ``i j [w]`` with 1-based node ids and an optional
-    weight defaulting to 1.0; ``#`` starts a comment line.  ``n`` defaults
-    to the largest node id seen.
+    weight defaulting to 1.0; ``#`` as a line's first non-blank character
+    starts a comment.  ``n`` defaults to the largest node id seen.  A
+    :class:`ParseError` names the ``file:line`` of the first bad row.
     """
     path = str(path)
-    edges: list[tuple[int, int, float]] = []
-    seen: set[tuple[int, int]] = set()
-    max_id = 0
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) not in (2, 3):
-                raise ParseError(path, line_no, f"expected 'i j [w]', got {line!r}")
-            try:
-                i, j = int(parts[0]), int(parts[1])
-                w = float(parts[2]) if len(parts) == 3 else 1.0
-            except ValueError:
-                raise ParseError(path, line_no, f"malformed numbers in {line!r}") from None
-            if i < 1 or j < 1:
-                raise ParseError(path, line_no, "node ids are 1-based and positive")
-            if i == j:
-                raise ParseError(path, line_no, f"self-loop on node {i}")
-            if w < 0 or not np.isfinite(w):
-                raise ParseError(path, line_no, f"invalid weight {w}")
-            a, b = (i - 1, j - 1) if i < j else (j - 1, i - 1)
-            if (a, b) in seen:
-                raise ParseError(path, line_no, f"duplicate edge {i} {j}")
-            seen.add((a, b))
-            edges.append((a, b, w))
-            max_id = max(max_id, i, j)
-    if n is None:
-        n = max_id
-    if max_id > n:
-        raise InputError(f"edge references node {max_id} but n={n}")
-    if n < 1:
+    try:
+        i, j, weight, _ = read_table(path, {2, 3})
+        max_id = int(max(i.max(), j.max())) if i.size else 0
+        size = max_id if n is None else n
+        # the Graph validates; ids below 1 fall outside its node range
+        graph = Graph(max(size, max_id, 1), np.minimum(i, j) - 1, np.maximum(i, j) - 1, weight)
+    except (ValueError, OverflowError):
+        raise_first_bad_row(path, _edge_row_fault)
+        raise
+    if max_id > size:
+        raise InputError(f"edge references node {max_id} but n={size}")
+    if size < 1:
         raise InputError("edge list is empty and no n given")
-    return Graph(n=n, edges=tuple(edges))
+    return graph

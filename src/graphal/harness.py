@@ -15,12 +15,15 @@ not in luck; re-runs are bit-identical.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
 
 from .errors import InputError, ParseError, UsageError
-from .graph_core import Graph, Laplacian, build_laplacian, graph_from_edges, init_label_state, read_edge_list
+from .graph_core import (
+    Graph, Laplacian, build_laplacian, init_label_state, raise_first_bad_row, read_edge_list, read_table
+)
 from .strategies import (
     StrategyKind,
     init_multiclass,
@@ -83,20 +86,33 @@ def gen_chain(n: int, seed) -> Dataset:
     rng = np.random.default_rng(seed)
     cut = int(rng.integers(n - 1))  # edge (cut, cut+1) separates the classes
     labels = np.where(np.arange(n) <= cut, 1, 0)
-    graph = graph_from_edges(n, [(i, i + 1, 1.0) for i in range(n - 1)])
+    graph = Graph(n, np.arange(n - 1), np.arange(1, n), np.ones(n - 1))
     return Dataset(name=f"chain{n}", graph=graph, labels=labels, class_count=2)
 
 
-def _grid_edges() -> list[tuple[int, int, float]]:
-    edges = []
-    for r in range(GRID_SIDE):
-        for c in range(GRID_SIDE):
-            v = r * GRID_SIDE + c
-            if c + 1 < GRID_SIDE:
-                edges.append((v, v + 1, 1.0))
-            if r + 1 < GRID_SIDE:
-                edges.append((v, v + GRID_SIDE, 1.0))
+def _grid_edges() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The grid's read-only edge arrays, row-major: each node's right, then lower neighbor."""
+    v = np.arange(GRID_SIDE * GRID_SIDE)[:, None]
+    inside = np.column_stack((v % GRID_SIDE < GRID_SIDE - 1, v < v.size - GRID_SIDE))
+    edges = (np.broadcast_to(v, inside.shape)[inside], (v + (1, GRID_SIDE))[inside], np.ones(inside.sum()))
+    for arr in edges:
+        arr.setflags(write=False)
     return edges
+
+
+def _grid_field() -> tuple[np.ndarray, np.ndarray]:
+    """The grid's pre-jitter classes, and its class-0 nodes next to a class-1 node, ascending."""
+    base = np.zeros((GRID_SIDE, GRID_SIDE), dtype=int)
+    base[:_BOX, :_BOX] = base[-_BOX:, -_BOX:] = 1
+    base = base.ravel()
+    src, dst, _ = _GRID_EDGES
+    near = np.zeros(base.size, dtype=bool)
+    near[src[base[dst] == 1]] = near[dst[base[src] == 1]] = True
+    return base, np.flatnonzero(near & (base == 0))
+
+
+_GRID_EDGES = _grid_edges()  # built once: every grid graph has these edges
+_GRID_BASE, _GRID_FLIPPABLE = _grid_field()
 
 
 def gen_jittered_grid(seed) -> Dataset:
@@ -108,29 +124,10 @@ def gen_jittered_grid(seed) -> Dataset:
     ascending node order against the frozen pre-jitter field, so the
     outcome is order-independent and fully determined by the seed.
     """
-    rng = np.random.default_rng(seed)
-    base = np.zeros(GRID_SIDE * GRID_SIDE, dtype=int)
-    for r in range(_BOX):
-        for c in range(_BOX):
-            base[r * GRID_SIDE + c] = 1
-            base[(GRID_SIDE - 1 - r) * GRID_SIDE + (GRID_SIDE - 1 - c)] = 1
-    labels = base.copy()
-    for v in range(base.size):
-        if base[v] == 1:
-            continue
-        r, c = divmod(v, GRID_SIDE)
-        neighbors = []
-        if r > 0:
-            neighbors.append(v - GRID_SIDE)
-        if r + 1 < GRID_SIDE:
-            neighbors.append(v + GRID_SIDE)
-        if c > 0:
-            neighbors.append(v - 1)
-        if c + 1 < GRID_SIDE:
-            neighbors.append(v + 1)
-        if any(base[w] == 1 for w in neighbors) and rng.random() < 0.5:
-            labels[v] = 1
-    graph = graph_from_edges(GRID_SIDE * GRID_SIDE, _grid_edges())
+    labels = _GRID_BASE.copy()
+    flips = np.random.default_rng(seed).random(_GRID_FLIPPABLE.size) < 0.5
+    labels[_GRID_FLIPPABLE[flips]] = 1
+    graph = Graph(GRID_SIDE * GRID_SIDE, *_GRID_EDGES)
     return Dataset(name="grid", graph=graph, labels=labels, class_count=2)
 
 
@@ -138,6 +135,23 @@ TOY_GENERATORS: dict[str, Callable] = {
     "chain15": lambda seed: gen_chain(15, seed),
     "grid": gen_jittered_grid,
 }
+
+
+def _label_row_fault(line: str, parts: list[str], seen: set, n: int) -> str | None:
+    if len(parts) != 2:
+        return f"expected 'node_id class_id', got {line!r}"
+    try:
+        node, cls = int(parts[0]), int(parts[1])
+    except ValueError:
+        return f"malformed numbers in {line!r}"
+    if not 1 <= node <= n:
+        return f"unknown node id {node} (graph has {n})"
+    if cls < 0:
+        return f"negative class id {cls}"
+    if node in seen:
+        return f"node {node} labeled twice"
+    seen.add(node)
+    return None
 
 
 def load_dataset(edge_path, label_path, name: str | None = None) -> Dataset:
@@ -148,28 +162,16 @@ def load_dataset(edge_path, label_path, name: str | None = None) -> Dataset:
     """
     graph = read_edge_list(edge_path)
     label_path = str(label_path)
+    try:
+        node, cls, _, last_line = read_table(label_path, {2})
+        if node.size and (node.min() < 1 or node.max() > graph.n or cls.min() < 0
+                          or np.bincount(node).max() > 1):
+            raise ValueError("node id or class id out of range, or a node labeled twice")
+    except (ValueError, OverflowError):
+        raise_first_bad_row(label_path, partial(_label_row_fault, n=graph.n))
+        raise
     classes = np.full(graph.n, -1, dtype=int)
-    last_line = 0
-    with open(label_path, "r", encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            last_line = line_no
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise ParseError(label_path, line_no, f"expected 'node_id class_id', got {line!r}")
-            try:
-                node, cls = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise ParseError(label_path, line_no, f"malformed numbers in {line!r}") from None
-            if not 1 <= node <= graph.n:
-                raise ParseError(label_path, line_no, f"unknown node id {node} (graph has {graph.n})")
-            if cls < 0:
-                raise ParseError(label_path, line_no, f"negative class id {cls}")
-            if classes[node - 1] != -1:
-                raise ParseError(label_path, line_no, f"node {node} labeled twice")
-            classes[node - 1] = cls
+    classes[node - 1] = cls
     missing = np.flatnonzero(classes == -1)
     if missing.size:
         raise ParseError(label_path, last_line, f"node {missing[0] + 1} has no label")

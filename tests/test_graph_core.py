@@ -69,7 +69,7 @@ def test_graph_validation(edges, message):
 
 def test_graph_needs_a_node():
     with pytest.raises(InputError):
-        Graph(n=0, edges=())
+        Graph(n=0, src=(), dst=(), weight=())
 
 
 def test_bad_laplacian_params():
