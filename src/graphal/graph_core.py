@@ -7,12 +7,13 @@ the error path reads rows one at a time, to name the first bad line.
 The central object is :class:`LabelState`: a partition of the nodes into a
 labeled set (with +/-1 labels) and an unlabeled set, together with the dense
 inverse ``G = inv(L_uu)`` of the Laplacian restricted to the unlabeled
-block.  ``G`` is computed once by a symmetric positive-definite solve and
-afterwards kept current with a rank-one downdate each time a node is
-labeled, so per-step maintenance is O(|u|^2) instead of O(|u|^3).  The
-downdate writes the surviving block straight from slices of ``G`` (no
-index gather), and node positions are found by bisection on the
-ascending node tuples, so a commit does no O(|u|) Python work.
+block.  ``G`` is computed once in one buffer by LAPACK ``dpotrf`` +
+``dpotri``, mirrored to exact symmetry, and afterwards kept current with a
+rank-one downdate each time a node is labeled, so per-step maintenance is
+O(|u|^2) instead of O(|u|^3).  The downdate writes the surviving block
+straight from slices of ``G`` (no index gather), and node positions are
+found by bisection on the ascending node tuples, so a commit does no
+O(|u|) Python work.
 
 Everything is dense by design: the target graphs (a few thousand nodes)
 fit comfortably, and the downdate rule is stated for dense inverses.
@@ -25,7 +26,7 @@ from functools import cached_property
 from operator import itemgetter
 
 import numpy as np
-import scipy.linalg
+import scipy.linalg.lapack
 
 from .config import DEFAULT_BETA, DEFAULT_TOLERANCES
 from .errors import (
@@ -38,6 +39,7 @@ from .errors import (
 
 _CHUNK_CHARS = 1 << 16  # readlines() size hint: one chunk's token lists bound the reader's memory
 _MAX_NODE_ID = np.iinfo(np.int64).max
+_BLOCK = 64  # rows or columns per step of the inverse's gather and mirror; bounds their scratch
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,12 +122,14 @@ def build_laplacian(graph: Graph, beta: float = DEFAULT_BETA, ridge: float = 0.0
     """Assemble ``beta * L`` (plus optional ``ridge * I``) for a graph.
 
     ``L[i, j] = -w_ij`` off-diagonal and ``L[i, i] = sum_k w_ik``, summed
-    in edge order: the bits are those of adding each edge in turn.
+    in edge order: the bits are those of adding each edge in turn.  A
+    non-finite ``beta``, ``ridge`` or diagonal is an :class:`InputError`;
+    with weights >= 0 a finite diagonal bounds every entry.
     """
-    if beta <= 0:
-        raise InputError(f"beta must be positive, got {beta}")
-    if ridge < 0:
-        raise InputError(f"ridge must be nonnegative, got {ridge}")
+    if not 0 < beta < np.inf:
+        raise InputError(f"beta must be positive and finite, got {beta}")
+    if not 0 <= ridge < np.inf:
+        raise InputError(f"ridge must be nonnegative and finite, got {ridge}")
     n, src, dst, w = graph.n, graph.src, graph.dst, graph.weight
     m = np.zeros((n, n))
     m[src, dst] = m[dst, src] = 0.0 - w  # not -w: a zero weight gives +0.0, not -0.0
@@ -133,9 +137,12 @@ def build_laplacian(graph: Graph, beta: float = DEFAULT_BETA, ridge: float = 0.0
     # add in edge order; all i's before all j's would change the last bits
     ends = np.column_stack((src, dst)).ravel()
     np.fill_diagonal(m, np.bincount(ends, weights=np.repeat(w, 2), minlength=n))
-    m *= beta
-    if ridge:
-        m[np.diag_indices(n)] += ridge
+    with np.errstate(over="ignore"):  # reported below, with the node
+        m *= beta
+        if ridge:
+            m[np.diag_indices(n)] += ridge
+    if not np.isfinite(diag := m.diagonal()).all():
+        raise InputError(f"Laplacian diagonal at node {np.argmin(np.isfinite(diag))} overflows (beta={beta})")
     m.setflags(write=False)
     positive = m[src, dst] < 0
     labels = _component_labels(n, src[positive], dst[positive])
@@ -236,13 +243,45 @@ def _check_labels(labels: np.ndarray) -> np.ndarray:
     return y
 
 
+def _spd_block_inverse(matrix: np.ndarray, nodes: tuple[int, ...]) -> np.ndarray:
+    """``inv(matrix[nodes][:, nodes])`` of a positive-definite block, in one C-order buffer.
+
+    The block is gathered ``_BLOCK`` rows at a time (``np.take`` buffers
+    ``out`` unless its mode is "clip"; the indices are in range anyway).
+    The block is symmetric, so its transpose is the Fortran-order matrix
+    that ``dpotrf`` + ``dpotri`` (about m^3 flops) overwrite in place; the
+    triangle they leave is mirrored, ``_BLOCK`` columns at a time: exact symmetry.
+    """
+    if not nodes:  # dpotri rejects an empty matrix
+        return np.zeros((0, 0))
+    buf, iu = np.empty((len(nodes),) * 2), np.asarray(nodes, dtype=np.intp)
+    for r0 in range(0, len(nodes), _BLOCK):
+        np.take(matrix[iu[r0:r0 + _BLOCK]], iu, axis=1, out=buf[r0:r0 + _BLOCK], mode="clip")
+    _, info = scipy.linalg.lapack.dpotrf(buf.T, lower=1, clean=0, overwrite_a=1)
+    if not info:
+        _, info = scipy.linalg.lapack.dpotri(buf.T, lower=1, overwrite_c=1)
+    if info:  # > 0: the leading minor of that order is not positive definite
+        raise DegeneracyError(f"L_uu is not positive definite at node {nodes[info - 1]}")
+    for c0 in range(0, len(nodes), _BLOCK):  # the result is buf's upper triangle
+        c1, diag = c0 + _BLOCK, buf[c0:c0 + _BLOCK, c0:c0 + _BLOCK]
+        np.copyto(diag, diag.T, where=np.tri(len(diag), k=-1, dtype=bool))
+        buf[c1:, c0:c1] = buf[c0:c1, c1:].T
+    if not np.isfinite(d := buf.diagonal()).all():
+        raise DegeneracyError(f"inverse diagonal at node {nodes[int(np.argmin(np.isfinite(d)))]} overflows")
+    return buf
+
+
 def init_label_state(lap: Laplacian, labeled, labels) -> LabelState:
     """Construct a state from scratch, inverting ``L_uu`` once.
 
     This is the O(n^3) entry cost; afterwards :func:`downdate_inverse`
-    keeps the inverse current at O(|u|^2) per labeled node.  Fails with
+    keeps the inverse current at O(|u|^2) per labeled node.  ``G`` is one
+    buffer: ``L_uu``, overwritten by LAPACK ``dpotrf`` + ``dpotri``, with a
+    triangle mirrored for exact symmetry.  Fails with
     :class:`UnanchoredComponentError` if some connected component has no
-    labeled node (singular block) and no ridge was requested.
+    labeled node (singular block) and no ridge was requested, and with a
+    :class:`DegeneracyError` naming the node if ``L_uu`` is numerically not
+    positive definite or ``diag(G)`` overflows.
     """
     labeled = tuple(sorted(int(v) for v in labeled))
     if not labeled:
@@ -262,22 +301,7 @@ def init_label_state(lap: Laplacian, labeled, labels) -> LabelState:
                 raise UnanchoredComponentError(comp)
 
     unlabeled = tuple(v for v in range(lap.n) if v not in lab_set)
-    m = len(unlabeled)
-    if m == 0:
-        inv = np.zeros((0, 0))
-    else:
-        iu = np.asarray(unlabeled, dtype=int)
-        # Gathered in Fortran order, so LAPACK factors it and solves against
-        # the identity in place: no hidden copies of the (|u|, |u|) block.
-        luu = lap.matrix.T[np.ix_(iu, iu)].T
-        try:
-            cho = scipy.linalg.cho_factor(luu, lower=True, overwrite_a=True)
-        except scipy.linalg.LinAlgError as exc:
-            raise DegeneracyError(f"L_uu is not positive definite: {exc}") from exc
-        raw = scipy.linalg.cho_solve(cho, np.eye(m, order="F"), overwrite_b=True)
-        del luu, cho  # the factor is dead; free it before the symmetric copy
-        inv = raw + raw.T  # exact symmetry so columns and rows interchange
-        inv /= 2.0
+    inv = _spd_block_inverse(lap.matrix, unlabeled)
     inv.setflags(write=False)
     y = y.copy()
     y.setflags(write=False)

@@ -29,6 +29,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .config import DEFAULT_TOLERANCES
 from .errors import DegeneracyError, UsageError
 from .graph_core import LabelState, Laplacian, downdate_inverse, init_label_state
 from .eem import (
@@ -186,13 +187,15 @@ def _node_index(nodes: tuple[int, ...]) -> np.ndarray:
 def predict_binary(session: BinarySession) -> np.ndarray:
     """+/-1 prediction for every node: observed labels, else harmonic sign.
 
-    The sign threshold sends h = 0 to +1; tsa and zlg agree here because
-    the decision value 2h/G_kk shares h's sign (G_kk > 0).
+    ``|h| <= Tolerances.prediction_tie`` is a tie, h = 0, and goes to +1,
+    so rounding noise in ``G`` cannot flip an exact tie; tsa and zlg agree
+    here because the decision value 2h/G_kk shares h's sign (G_kk > 0).
     """
     state = session.state
     out = np.empty(state.n)
     out[_node_index(state.labeled)] = state.labels
-    out[_node_index(state.unlabeled)] = np.where(session.harmonic >= 0.0, 1.0, -1.0)
+    tie = DEFAULT_TOLERANCES.prediction_tie
+    out[_node_index(state.unlabeled)] = np.where(session.harmonic >= -tie, 1.0, -1.0)
     return out
 
 
@@ -243,22 +246,12 @@ def init_multiclass(lap: Laplacian, nodes, classes, class_count: int) -> Multicl
     order = np.argsort(nodes)
     nodes = [nodes[i] for i in order]
     classes = [classes[i] for i in order]
-    first = init_label_state(
-        lap, nodes, [1.0 if c == 0 else -1.0 for c in classes]
-    )
+    first = init_label_state(lap, nodes, [1.0 if c == 0 else -1.0 for c in classes])
     states = [first]
     for cls in range(1, class_count):
         y = np.array([1.0 if c == cls else -1.0 for c in classes])
         y.setflags(write=False)
-        states.append(
-            LabelState(
-                lap=lap,
-                labeled=first.labeled,
-                labels=y,
-                unlabeled=first.unlabeled,
-                inverse=first.inverse,
-            )
-        )
+        states.append(replace(first, labels=y))
     return MulticlassState(class_count=class_count, states=tuple(states))
 
 
@@ -582,12 +575,15 @@ def update_multiclass(
 def predict_multiclass(session: MulticlassSession) -> np.ndarray:
     """Class prediction per node: observed class, else argmax harmonic.
 
-    Ties in the harmonic argmax resolve to the lowest class id.
+    The lowest class within ``Tolerances.prediction_tie`` of the row's
+    harmonic maximum wins.
     """
     mstate = session.mstate
     out = np.empty(mstate.n, dtype=int)
     label_mat = _class_label_matrix(mstate)
     out[_node_index(mstate.labeled)] = np.argmax(label_mat, axis=1)
     if mstate.unlabeled:
-        out[_node_index(mstate.unlabeled)] = np.argmax(session.harmonics, axis=1)
+        h = session.harmonics
+        top = h.max(axis=1, keepdims=True) - DEFAULT_TOLERANCES.prediction_tie
+        out[_node_index(mstate.unlabeled)] = np.argmax(h >= top, axis=1)
     return out

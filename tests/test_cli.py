@@ -92,6 +92,25 @@ def test_marginals_unknown_method(capsys):
     assert "unknown method" in err
 
 
+@pytest.mark.parametrize(
+    "extra,msg",
+    [
+        (["--beta", "inf"], "beta must be positive and finite, got inf"),
+        (["--beta", "nan"], "beta must be positive and finite, got nan"),
+        (["--ridge", "inf"], "ridge must be nonnegative and finite, got inf"),
+        (["--beta", "1e308"], "Laplacian diagonal at node"),
+    ],
+)
+@pytest.mark.parametrize(
+    "command",
+    [["marginals", "--chain", "5", "--labels", "1:+1"], ["experiment", "--toy", "chain15", "--budget", "1"]],
+)
+def test_non_finite_laplacian_is_an_input_error(tmp_path, capsys, command, extra, msg):
+    code, _, err = run(capsys, *command, *extra, "-o", str(tmp_path / "x.csv"))
+    assert code == 2
+    assert err.startswith(f"error: {msg}")
+
+
 def test_marginals_from_edge_file(tmp_path, capsys):
     p = tmp_path / "g.edges"
     p.write_text("1 2 1.0\n2 3 1.0\n")

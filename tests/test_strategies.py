@@ -1,4 +1,6 @@
 """Strategy dispatch, VOpt/SOpt, sessions, and the one-vs-rest wrapper."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -141,6 +143,17 @@ def test_predict_binary_sign_rule():
     preds = predict_binary(session)
     assert preds[0] == 1.0 and preds[2] == -1.0
     assert preds[1] == 1.0
+
+
+def test_prediction_ties_are_decided_by_a_tolerance():
+    # the midpoint's h is an exact tie; rounding noise of either sign keeps it at +1
+    session = start_binary(chain_state(3, [0, 2], [1.0, -1.0]), StrategyKind.ZLG)
+    for noise, expected in ((-5e-13, 1.0), (5e-13, 1.0), (-2e-12, -1.0)):
+        assert predict_binary(replace(session, harmonic=np.array([noise])))[1] == expected
+    # one-vs-rest: the lowest class within the tolerance of the row maximum wins
+    multi = start_multiclass(triangle_mstate(), StrategyKind.ZLG)
+    rows = np.array([[0.3, 0.3 + 5e-13, 0.1], [0.3, 0.3 + 2e-12, 0.1], [-0.2, -0.5, -0.2 + 1e-13]])
+    assert predict_multiclass(replace(multi, harmonics=rows))[[2, 3, 5]].tolist() == [0, 1, 0]
 
 
 def test_exhausted_session_refuses_queries():
