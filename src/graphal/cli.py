@@ -200,7 +200,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except GraphalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        text = exc.template.format(*(v + 1 for v in exc.nodes)) if exc.nodes else str(exc)
+        print(f"error: {text}", file=sys.stderr)
         return 2
 
 

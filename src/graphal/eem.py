@@ -77,13 +77,13 @@ def tsa_lookahead_decisions(state: LabelState, f: np.ndarray, q: int, y) -> np.n
     d = np.diag(g)
     tol = state.singular_floor
     if d[qi] <= tol:
-        raise DegeneracyError(f"inverse diagonal at node {q} is {d[qi]:.3e}")
+        raise DegeneracyError(f"inverse diagonal at node {{}} is {d[qi]:.3e}", q)
     col = g[:, qi]
     denom = d - col * col / d[qi]
     denom[qi] = 1.0
     if denom.min() <= tol:
         bad = state.unlabeled[int(np.argmin(denom))]
-        raise DegeneracyError(f"lookahead denominator vanished at node {bad}")
+        raise DegeneracyError("lookahead denominator vanished at node {}", bad)
     if f.ndim == 2:
         d, col, denom = d[:, None], col[:, None], denom[:, None]
     fp = (d * f + (2.0 * y / d[qi] - f[qi]) * col) / denom
@@ -101,7 +101,7 @@ def zlg_lookahead_harmonic(state: LabelState, h: np.ndarray, q: int, y) -> np.nd
     qi = state.u_index(q)
     g = state.inverse
     if g[qi, qi] <= state.singular_floor:
-        raise DegeneracyError(f"inverse diagonal at node {q} is {g[qi, qi]:.3e}")
+        raise DegeneracyError(f"inverse diagonal at node {{}} is {g[qi, qi]:.3e}", q)
     ratio = g[:, qi] / g[qi, qi]
     if h.ndim == 2:
         ratio = ratio[:, None]
@@ -216,7 +216,7 @@ def tsa_risk_table(
     tol = state.singular_floor
     if d.min() <= tol:
         bad = state.unlabeled[int(np.argmin(d))]
-        raise DegeneracyError(f"inverse diagonal vanished at node {bad}")
+        raise DegeneracyError("inverse diagonal vanished at node {}", bad)
     if f is None:
         f = tsa_marginals(state).values
     if workspace is None:
@@ -244,8 +244,9 @@ def tsa_risk_table(
         if denom.min() <= tol:
             qi, ki = np.unravel_index(int(np.argmin(denom)), denom.shape)
             raise DegeneracyError(
-                f"lookahead denominator vanished for candidate "
-                f"{state.unlabeled[q0 + qi]} at node {state.unlabeled[ki]}"
+                "lookahead denominator vanished for candidate {} at node {}",
+                state.unlabeled[q0 + qi],
+                state.unlabeled[ki],
             )
 
         for coeff, out_vec in ((b_plus, risk_plus), (b_minus, risk_minus)):
@@ -280,7 +281,7 @@ def zlg_risk_table(
     tol = state.singular_floor
     if d.min() <= tol:
         bad = state.unlabeled[int(np.argmin(d))]
-        raise DegeneracyError(f"inverse diagonal vanished at node {bad}")
+        raise DegeneracyError("inverse diagonal vanished at node {}", bad)
     if h is None:
         h = lp_harmonic(state)
     if workspace is None:

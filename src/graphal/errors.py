@@ -3,7 +3,17 @@ from __future__ import annotations
 
 
 class GraphalError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors.
+
+    A message that names nodes is a template: ``nodes`` holds their 0-based
+    ids in the order of its ``{}`` fields, and ``str()`` shows them 0-based.
+    The CLI renders ``template`` again with its 1-based ids.
+    """
+
+    def __init__(self, template: str = "", *nodes: int):
+        self.template = template
+        self.nodes = tuple(int(v) for v in nodes)
+        super().__init__(template.format(*self.nodes) if self.nodes else template)
 
 
 class InputError(GraphalError, ValueError):
@@ -24,11 +34,12 @@ class UnanchoredComponentError(GraphalError):
     unlabeled-block Laplacian is singular."""
 
     def __init__(self, component: tuple[int, ...]):
-        nodes = ", ".join(str(v) for v in component[:8])
+        shown = component[:8]
         more = ", ..." if len(component) > 8 else ""
         super().__init__(
-            f"connected component {{{nodes}{more}}} has no labeled node; "
-            "label a node in it or use a ridge > 0"
+            "connected component {{" + ", ".join(["{}"] * len(shown)) + more + "}} "
+            "has no labeled node; label a node in it or use a ridge > 0",
+            *shown,
         )
         self.component = component
 

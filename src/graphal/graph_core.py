@@ -142,7 +142,7 @@ def build_laplacian(graph: Graph, beta: float = DEFAULT_BETA, ridge: float = 0.0
         if ridge:
             m[np.diag_indices(n)] += ridge
     if not np.isfinite(diag := m.diagonal()).all():
-        raise InputError(f"Laplacian diagonal at node {np.argmin(np.isfinite(diag))} overflows (beta={beta})")
+        raise InputError(f"Laplacian diagonal at node {{}} overflows (beta={beta})", np.argmin(np.isfinite(diag)))
     m.setflags(write=False)
     positive = m[src, dst] < 0
     labels = _component_labels(n, src[positive], dst[positive])
@@ -202,7 +202,7 @@ class LabelState:
         """Position of an unlabeled node within the ``unlabeled`` ordering."""
         i = bisect.bisect_left(self.unlabeled, node)
         if i == len(self.unlabeled) or self.unlabeled[i] != node:
-            raise UsageError(f"node {node} is not unlabeled")
+            raise UsageError("node {} is not unlabeled", node)
         return i
 
     @cached_property
@@ -224,7 +224,7 @@ class LabelState:
     def label_of(self, node: int) -> float:
         i = bisect.bisect_left(self.labeled, node)
         if i == len(self.labeled) or self.labeled[i] != node:
-            raise UsageError(f"node {node} is not labeled")
+            raise UsageError("node {} is not labeled", node)
         return float(self.labels[i])
 
     def cross_term(self) -> np.ndarray:
@@ -261,13 +261,13 @@ def _spd_block_inverse(matrix: np.ndarray, nodes: tuple[int, ...]) -> np.ndarray
     if not info:
         _, info = scipy.linalg.lapack.dpotri(buf.T, lower=1, overwrite_c=1)
     if info:  # > 0: the leading minor of that order is not positive definite
-        raise DegeneracyError(f"L_uu is not positive definite at node {nodes[info - 1]}")
+        raise DegeneracyError("L_uu is not positive definite at node {}", nodes[info - 1])
     for c0 in range(0, len(nodes), _BLOCK):  # the result is buf's upper triangle
         c1, diag = c0 + _BLOCK, buf[c0:c0 + _BLOCK, c0:c0 + _BLOCK]
         np.copyto(diag, diag.T, where=np.tri(len(diag), k=-1, dtype=bool))
         buf[c1:, c0:c1] = buf[c0:c1, c1:].T
     if not np.isfinite(d := buf.diagonal()).all():
-        raise DegeneracyError(f"inverse diagonal at node {nodes[int(np.argmin(np.isfinite(d)))]} overflows")
+        raise DegeneracyError("inverse diagonal at node {} overflows", nodes[int(np.argmin(np.isfinite(d)))])
     return buf
 
 
@@ -329,7 +329,7 @@ def downdate_inverse(state: LabelState, k: int, label: float) -> LabelState:
     g = state.inverse
     pivot = g[qi, qi]
     if pivot <= state.singular_floor:
-        raise DegeneracyError(f"inverse diagonal at node {k} is {pivot:.3e}; cannot downdate")
+        raise DegeneracyError(f"inverse diagonal at node {{}} is {pivot:.3e}; cannot downdate", k)
 
     col = np.concatenate((g[:qi, qi], g[qi + 1:, qi]))
     new_inv = np.multiply((col / pivot)[:, None], col, out=np.empty((col.size, col.size)))

@@ -65,6 +65,27 @@ def _logistic_tail(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     return np.reciprocal(out, out=out)
 
 
+def _saturating_tail(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``sigmoid(-x)`` into ``out``: exactly 0 past ``x > 36``, 1 past ``x < -36``.
+
+    The one saturating logistic, behind :func:`sigmoid` and the one-vs-rest
+    risk sweep.  Saturated entries of ``x`` (scratch) are set to +/-inf, which
+    :func:`_logistic_tail` returns as exact 0/1; each side is a compare and
+    a count, and the masked ``copyto`` runs only if some entry saturates.
+    A NaN compares false, so unlike a ``max()``/``min()`` test it hides no
+    saturated entry.  ``np.count_nonzero`` is the test because on short
+    vectors it costs a third of ``.any()`` per call.  ``out`` may alias ``x``.
+    """
+    sat = DEFAULT_TOLERANCES.saturation
+    high = x > sat
+    if np.count_nonzero(high):
+        np.copyto(x, np.inf, where=high)
+    low = x < -sat
+    if np.count_nonzero(low):
+        np.copyto(x, -np.inf, where=low)
+    return _logistic_tail(x, out=out)
+
+
 def sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Logistic function, saturating to exact 0/1 past +/-36.
 
@@ -73,17 +94,13 @@ def sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     instead of trailing noise.  ``out``, an array shaped like ``z`` (it may
     be ``z`` itself), receives the result in place.
 
-    Evaluated by :func:`_logistic_tail` on ``-z``, with saturated inputs
-    set to -/+inf so they come out as exactly 1/0.  The values differ from
-    ``scipy.special.expit`` by a few ULP; the query choices built on them
-    do not (``lookahead_risk`` keeps ``expit`` as the reference).
+    Evaluated by :func:`_saturating_tail` on ``-z``.  The values differ
+    from ``scipy.special.expit`` by a few ULP; the query choices built on
+    them do not (``lookahead_risk`` keeps ``expit`` as the reference).
     """
     z = np.asarray(z, dtype=float)
     x = np.negative(z, out=np.empty_like(z) if out is None else out)
-    sat = DEFAULT_TOLERANCES.saturation
-    np.copyto(x, np.inf, where=x > sat)
-    np.copyto(x, -np.inf, where=x < -sat)
-    _logistic_tail(x, out=x)
+    _saturating_tail(x, out=x)
     return x[()] if x.ndim == 0 else x
 
 
@@ -109,7 +126,7 @@ def tsa_marginals(state: LabelState) -> Marginals:
     diag = np.diag(state.inverse)
     if diag.min() <= state.singular_floor:
         bad = state.unlabeled[int(np.argmin(diag))]
-        raise DegeneracyError(f"inverse diagonal vanished at node {bad}")
+        raise DegeneracyError("inverse diagonal vanished at node {}", bad)
     f = 2.0 * h / diag
     return Marginals(MarginalKind.TSA, state.unlabeled, sigmoid(f), f)
 

@@ -41,7 +41,7 @@ from .eem import (
     tsa_lookahead_decisions,
     zlg_lookahead_harmonic,
 )
-from .inference import lp_harmonic, sigmoid, tsa_marginals
+from .inference import _saturating_tail, lp_harmonic, sigmoid, tsa_marginals
 
 #: Cells per class slab of a one-vs-rest candidate block: rows are capped at
 #: this over |u| so the block's scratch stays in cache on large graphs.
@@ -382,21 +382,27 @@ def multiclass_risk_table(
 
     giving O(|u| C) per candidate, O(|u|^2 C) per sweep.  Let ``S-`` and
     ``S+`` be the per-class scores of A - B and A + B.  For outcome b only
-    column b changes (to ``S+``), so each node's row sum and row max are
-    patched from the top-2 statistics of ``S-`` instead of rebuilt per
-    outcome.
+    column b changes (to ``S+``), so each node's row sum is patched from
+    the row sum of ``S-``.  The row max, ``max(S+[b], max_{c != b} S-[c])``,
+    equals ``max(top1, S+[b])`` with ``top1 = max_c S-[c]`` wherever the
+    computed ``S+[b] >= S-[b]``, as it is wherever ``G_qk >= 0`` (positive
+    weights).  The other entries, such as the +/-1e-15 that downdates leave
+    where the exact ``G_qk`` is 0, are patched with the exact max over the
+    other classes, so no sign of ``G`` is assumed.
 
     Candidates are swept in blocks of ``rows = min(BLOCK // C,
     MULTICLASS_BLOCK_CELLS // |u|)`` (at least 1), so a block's scratch
     stays bounded as |u| grows.  The per-class values are laid out
     class-major, (C, rows, |u|), so every class slab is contiguous.  One
-    fold over classes 0..C-1 gives the row sum of ``S-``, its largest and
-    second largest value and the first class that holds the largest (a
-    strict ``>`` keeps the lowest class on ties).
-    Every pass writes into scratch allocated once per call: ``2C + 7``
-    float slabs of ``(rows, |u|)``, i.e. at most ``(2C + 7) *
-    MULTICLASS_BLOCK_CELLS`` floats (3.2 MB at C=2, 4.3 MB at C=4) while
-    |u| <= MULTICLASS_BLOCK_CELLS, plus an int and a bool slab.
+    fold over classes 0..C-1 gives the row sum and row max of ``S-``.
+    For tsa the slabs hold ``-A = (cols f_q - d f) / denom``, the exact
+    negation of A (rounding is symmetric in sign), so the logistic kernel
+    reads ``-A + B = -(A - B)`` and ``-A - B = -(A + B)`` without a
+    negation pass.
+    Every pass writes into scratch allocated once per call: ``2C + 6``
+    float slabs of ``(rows, |u|)``, i.e. at most ``(2C + 6) *
+    MULTICLASS_BLOCK_CELLS`` floats (2.9 MB at C=2, 4.0 MB at C=4) while
+    |u| <= MULTICLASS_BLOCK_CELLS, plus one bool slab.
 
     The result is bitwise equal to the per-candidate form (kept in the
     tests as the reference) because every quantity is computed by the
@@ -417,7 +423,7 @@ def multiclass_risk_table(
     tol = base.singular_floor
     if d.min() <= tol:
         bad = base.unlabeled[int(np.argmin(d))]
-        raise DegeneracyError(f"inverse diagonal vanished at node {bad}")
+        raise DegeneracyError("inverse diagonal vanished at node {}", bad)
     n = mstate.n
     c_count = mstate.class_count
 
@@ -428,19 +434,18 @@ def multiclass_risk_table(
         weights = _normalize_rows(sigmoid(decisions))[0]
         values = np.ascontiguousarray(decisions.T)
         scaled = d * values  # d_k f_k^c
-        score_into = sigmoid
+        score_into, minus_op, plus_op = _saturating_tail, np.add, np.subtract
     elif kind is StrategyKind.ZLG:
         if harmonics is None:
             harmonics = multiclass_harmonics(mstate)
         weights = _normalize_rows(_harmonic_prob(harmonics))[0]
         values = np.ascontiguousarray(harmonics.T)
-        score_into = _harmonic_prob
+        score_into, minus_op, plus_op = _harmonic_prob, np.subtract, np.add
     else:
         raise UsageError(f"{kind} has no expected-risk table")
 
     step = min(m, max(1, min(BLOCK // c_count, MULTICLASS_BLOCK_CELLS // m)))
-    work = np.empty((2 * c_count + 7, step, m))  # scratch for the whole sweep
-    arg1_buf = np.empty((step, m), dtype=np.intp)
+    work = np.empty((2 * c_count + 6, step, m))  # scratch for the whole sweep
     mask_buf = np.empty((step, m), dtype=bool)
     risk = np.zeros(m)
     for q0 in range(0, m, step):
@@ -448,8 +453,8 @@ def multiclass_risk_table(
         rows = q1 - q0
         blk = work[:, :rows]  # every blk[i] is a contiguous (rows, |u|) slab
         a_all, s_minus = blk[:c_count], blk[c_count:2 * c_count]
-        cols, shift, z, s_plus, base_sum, top1, top2 = blk[2 * c_count:]
-        arg1, mask = arg1_buf[:rows], mask_buf[:rows]
+        cols, shift, z, s_plus, base_sum, top1 = blk[2 * c_count:]
+        mask = mask_buf[:rows]
         np.copyto(cols, g[:, q0:q1].T)
         dq = d[q0:q1, None]
         diag_r = np.arange(rows)
@@ -463,16 +468,17 @@ def multiclass_risk_table(
             if inv_denom.min() <= tol:
                 qi, ki = np.unravel_index(int(np.argmin(inv_denom)), inv_denom.shape)
                 raise DegeneracyError(
-                    f"lookahead denominator vanished for candidate "
-                    f"{base.unlabeled[q0 + qi]} at node {base.unlabeled[ki]}"
+                    "lookahead denominator vanished for candidate {} at node {}",
+                    base.unlabeled[q0 + qi],
+                    base.unlabeled[ki],
                 )
             np.divide(1.0, inv_denom, out=inv_denom)
             np.multiply(2.0, cols, out=shift)
             shift /= dq
             shift *= inv_denom
-            for c, a in enumerate(a_all):
+            for c, a in enumerate(a_all):  # -A, the exact negation of A
                 np.multiply(cols, values[c, q0:q1, None], out=a)
-                np.subtract(scaled[c], a, out=a)
+                a -= scaled[c]
                 a *= inv_denom
         else:
             np.divide(cols, dq, out=shift)
@@ -480,37 +486,36 @@ def multiclass_risk_table(
                 np.multiply(shift, values[c, q0:q1, None], out=a)
                 np.subtract(values[c], a, out=a)
 
-        # One fold of S- over the classes: row sum, top two values, first
-        # argmax.  From here on ``cols`` and ``z`` are dead; the outcome loop
-        # reuses them (and ``s_plus``) as scratch under other names.
+        # One fold of S- over the classes: its row sum and row max.  From
+        # here on ``cols`` and ``z`` are dead; the outcome loop reuses them
+        # (and ``s_plus``) as scratch under other names.
         for c in range(c_count):
-            np.subtract(a_all[c], shift, out=z)
+            minus_op(a_all[c], shift, out=z)
             score_into(z, s_minus[c])
-            if c == 0:
-                np.copyto(base_sum, s_minus[0])
-                np.copyto(top1, s_minus[0])
-                top2.fill(-np.inf)
-                arg1.fill(0)
-                continue
+        np.add(s_minus[0], s_minus[1], out=base_sum)
+        np.maximum(s_minus[0], s_minus[1], out=top1)
+        for c in range(2, c_count):
             base_sum += s_minus[c]
-            np.copyto(arg1, c, where=np.greater(s_minus[c], top1, out=mask))
-            np.minimum(top1, s_minus[c], out=z)
-            np.maximum(top2, z, out=top2)
             np.maximum(top1, s_minus[c], out=top1)
 
         for c in range(c_count):
-            np.add(a_all[c], shift, out=z)
+            plus_op(a_all[c], shift, out=z)
             score_into(z, s_plus)
+            maxes = cols
+            np.maximum(top1, s_plus, out=maxes)
+            if np.less(s_plus, s_minus[c], out=mask).any():
+                rest = s_minus[:, mask]  # the outcome's rows at those entries
+                rest[c] = s_plus[mask]
+                maxes[mask] = rest.max(axis=0)
             sums = z
             np.subtract(base_sum, s_minus[c], out=sums)
             sums += s_plus
-            maxes = cols
-            np.copyto(maxes, top1)
-            np.copyto(maxes, top2, where=np.equal(arg1, c, out=mask))
-            np.maximum(maxes, s_plus, out=maxes)
             ratio = s_plus
-            ratio.fill(1.0 / c_count)  # a row with no signal (sum 0) reads as uniform
-            np.divide(maxes, sums, out=ratio, where=np.greater(sums, 0.0, out=mask))
+            if sums.min() > 0.0:
+                np.divide(maxes, sums, out=ratio)
+            else:
+                ratio.fill(1.0 / c_count)  # a row with no signal (sum 0) reads as uniform
+                np.divide(maxes, sums, out=ratio, where=np.greater(sums, 0.0, out=mask))
             contrib = ratio
             np.subtract(1.0, ratio, out=contrib)
             contrib[diag_r, diag_c] = 0.0  # the queried node is observed under every outcome

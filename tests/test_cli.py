@@ -121,6 +121,25 @@ def test_marginals_from_edge_file(tmp_path, capsys):
     assert out.splitlines()[1].split()[0] == "2"
 
 
+@pytest.mark.parametrize(
+    "edges,extra,msg",
+    [
+        ("1 2\n3 4\n", [], "connected component {3, 4} has no labeled node"),
+        # node 3 hangs on node 2 by a subnormal weight: its G entry is inf
+        ("1 2 1\n2 3 5e-324\n", [], "inverse diagonal at node 3 overflows"),
+        # node 1 has two unit edges: 2e308 overflows, 1e308 does not
+        ("1 2\n1 3\n", ["--beta", "1e308"], "Laplacian diagonal at node 1 overflows"),
+    ],
+    ids=["unanchored", "subnormal-anchor", "beta-overflow"],
+)
+def test_errors_name_one_based_nodes(tmp_path, capsys, edges, extra, msg):
+    p = tmp_path / "g.edges"
+    p.write_text(edges)
+    code, _, err = run(capsys, "marginals", "--edges", str(p), "--labels", "1:+1", *extra)
+    assert code == 2
+    assert err.startswith(f"error: {msg}")
+
+
 # --- experiment -----------------------------------------------------------------
 
 

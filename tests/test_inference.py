@@ -99,6 +99,44 @@ def test_sigmoid_zero_d_input_and_aliased_out():
     assert z[0, 0] == 0.0 and z[1, 1] == 1.0  # the snap still reads the input
 
 
+def always_masked_sigmoid(z, out=None):
+    """Reference: the snap as two masked ``copyto`` calls on every input."""
+    z = np.asarray(z, dtype=float)
+    x = np.negative(z, out=np.empty_like(z) if out is None else out)
+    sat = DEFAULT_TOLERANCES.saturation
+    np.copyto(x, np.inf, where=x > sat)
+    np.copyto(x, -np.inf, where=x < -sat)
+    _logistic_tail(x, out=x)
+    return x[()] if x.ndim == 0 else x
+
+
+SNAP_CASES = {
+    "none": np.linspace(-35.9, 35.9, 1001),
+    "high-only": np.array([36.5, 40.0, 700.0, 1.5, -2.0, 36.0]),
+    "low-only": np.array([-36.5, -40.0, -800.0, 0.5, -36.0]),
+    "both": np.array([[-40.0, 40.0, 0.0], [36.5, -36.5, 3.0]]),
+    "inf": np.array([np.inf, -np.inf, 1.0]),
+    "zero-d-high": np.array(36.5),
+    "zero-d-low": np.array(-36.5),
+    "zero-d-inside": np.array(0.3),
+    "nan-next-to-saturated": np.array([np.nan, 40.0, -40.0, 2.0, np.nan]),
+    "nan-only": np.array([np.nan, 1.0]),
+}
+
+
+@pytest.mark.parametrize("z", SNAP_CASES.values(), ids=SNAP_CASES.keys())
+def test_sigmoid_snaps_bitwise_like_the_always_masked_form(z):
+    expected = always_masked_sigmoid(z.copy())
+    assert np.array_equal(sigmoid(z.copy()), expected, equal_nan=True)
+    alias = z.copy()
+    out = sigmoid(alias, out=alias)
+    assert np.array_equal(alias, expected, equal_nan=True)
+    if z.ndim:
+        assert out is alias
+    else:
+        assert isinstance(out, np.float64) and np.array_equal(out, expected)
+
+
 def test_logistic_kernels_raise_no_warning():
     z = KERNEL_INPUTS
     with warnings.catch_warnings():

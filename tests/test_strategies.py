@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphal.errors import UsageError
 from graphal.graph_core import build_laplacian, graph_from_edges, init_label_state
@@ -29,6 +31,7 @@ from graphal.strategies import (
     update,
     update_multiclass,
     vopt_scores,
+    _harmonic_prob,
     _normalize_rows,
 )
 from graphal.selftest import random_connected_graph, random_labeled_state
@@ -351,6 +354,59 @@ def test_multiclass_risk_table_blocks_match_per_candidate_reference(kind, classe
         session.mstate, kind, decisions=decisions, harmonics=session.harmonics
     )
     slow = per_candidate_risk_table(session.mstate, kind, decisions, session.harmonics)
+    assert np.array_equal(fast, slow)
+
+
+@st.composite
+def rare_sweep_cases(draw):
+    """A hand-built one-vs-rest state that drives the sweep off its usual path.
+
+    ``G`` is the inverse of a random diagonally dominant SPD matrix whose
+    off-diagonal entries have both signs.  A negative ``G_kq`` makes the
+    lookahead shift negative, so ``S+[c] < S-[c]`` there and the row max
+    needs the patch over the other classes.  With ``saturate``, ``G`` is
+    scaled by 1/beta = 1e-4 and some rows are negative in every class: tsa's
+    decision values saturate to 0 (zlg's harmonic values clip to 0) in every
+    class, and those rows fall back to uniform.  C stays below 8, where
+    numpy sums a row sequentially, as the reference does.
+    """
+    c_count = draw(st.integers(2, 7))
+    m = draw(st.integers(2, 40))
+    kind = draw(st.sampled_from([StrategyKind.TSA, StrategyKind.ZLG]))
+    saturate = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    off = rng.uniform(-1.0, 1.0, (m, m))
+    off = off + off.T
+    np.fill_diagonal(off, 0.0)
+    spd = off + np.diag(np.abs(off).sum(axis=1) + rng.uniform(0.1, 1.0, m))
+    g = np.linalg.inv(spd * (1e4 if saturate else 1.0))
+    if not (g < 0.0).any():  # flip node 0: D G D is the inverse of D spd D, D = diag(-1, 1, ...)
+        g[0, 1:] *= -1.0
+        g[1:, 0] *= -1.0
+    g.setflags(write=False)
+    first = replace(chain_state(m + 1, [0], [1.0]), inverse=g)
+    mstate = MulticlassState(class_count=c_count, states=(first,) * c_count)
+    h = rng.uniform(-1.0, 1.0, (m, c_count))
+    if saturate:
+        dead = rng.random(m) < 0.3
+        dead[0] = True
+        low = 1.0 if kind is StrategyKind.ZLG else 0.1  # zlg clips h <= -1 to probability 0
+        h[dead] = -rng.uniform(low, low + 0.5, (dead.sum(), c_count))
+    decisions = 2.0 * h / np.diag(g)[:, None] if kind is StrategyKind.TSA else None
+    return mstate, kind, decisions, h, saturate
+
+
+@given(rare_sweep_cases())
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+def test_multiclass_risk_table_rare_paths_match_per_candidate_reference(case):
+    mstate, kind, decisions, harmonics, saturate = case
+    g = mstate.states[0].inverse
+    assert (g < 0.0).any()  # some candidate column holds a negative entry
+    if saturate:
+        scores = sigmoid(decisions) if kind is StrategyKind.TSA else _harmonic_prob(harmonics)
+        assert _normalize_rows(scores)[1] > 0  # fallback rows
+    fast = multiclass_risk_table(mstate, kind, decisions=decisions, harmonics=harmonics)
+    slow = per_candidate_risk_table(mstate, kind, decisions, harmonics)
     assert np.array_equal(fast, slow)
 
 
