@@ -10,9 +10,13 @@ inverse ``G = inv(L_uu)`` of the Laplacian restricted to the unlabeled
 block.  ``G`` is computed once in one buffer by LAPACK ``dpotrf`` +
 ``dpotri``, mirrored to exact symmetry, and afterwards kept current with a
 rank-one downdate each time a node is labeled, so per-step maintenance is
-O(|u|^2) instead of O(|u|^3).  The downdate writes the surviving block
-straight from slices of ``G`` (no index gather), and node positions are
-found by bisection on the ascending node tuples, so a commit does no
+O(|u|^2) instead of O(|u|^3).  The downdate copies the surviving blocks
+of ``G`` into one new array and updates it there with one BLAS ``dgemm``:
+alpha = -1 is exact and the inner dimension is 1, so each entry is rounded
+once for the product and once for the add, bitwise as in the gathering
+form (a BLAS that fused the two into one FMA would break this, and the
+``*bitwise_equal_to_gathering_form`` tests would say so).  Node positions
+are found by bisection on the ascending node tuples, so a commit does no
 O(|u|) Python work.
 
 Everything is dense by design: the target graphs (a few thousand nodes)
@@ -26,6 +30,7 @@ from functools import cached_property
 from operator import itemgetter
 
 import numpy as np
+import scipy.linalg.blas
 import scipy.linalg.lapack
 
 from .config import DEFAULT_BETA, DEFAULT_TOLERANCES
@@ -313,15 +318,25 @@ def downdate_inverse(state: LabelState, k: int, label: float) -> LabelState:
 
     Uses the rank-one Schur-complement identity: deleting row/column ``k``
     of ``L_uu`` turns ``G`` into ``G' = G - G_{.k} G_{k.} / G_kk`` restricted
-    to the survivors.  Cost O(|u|^2); the result matches a fresh inversion
-    of the reduced block to machine precision.
+    to the survivors.  Cost O(|u|^2).  The result matches a fresh inversion
+    of the reduced block to ``Tolerances.equivalence`` on well-conditioned
+    graphs, not to machine precision: each downdate's rounding stays at the
+    scale ``G`` had when it was made, so on ill-conditioned graphs a long
+    run drifts by up to about 1e-5 of ``max diag(G)``
+    (``selftest.check_long_downdate``).
 
-    The (|u|-1)^2 result is allocated once: the outer product
-    ``(col / pivot) col^T`` is written into it and then subtracted from the
-    four blocks of ``G`` around row and column ``k``, in place.  These are
-    the same two float operations per entry as gathering the survivors and
-    subtracting ``np.outer``, so the bits are the same, without the
-    gather's index arrays and copy.
+    The four blocks of ``G`` around row and column ``k`` are copied into a
+    fresh C-order (|u|-1)^2 array, whose Fortran-order transpose
+    ``dgemm(-1, col, col / pivot, beta=1)`` updates in place.  With inner
+    dimension 1 each product is rounded once and added with the exact
+    alpha = -1, so every entry is ``round(g - round((col_i / pivot) col_j))``,
+    bitwise the gathering form ``g[keep][:, keep] - np.outer(col / pivot,
+    col)`` without its index arrays, copy and outer product.  A BLAS that
+    fused the product and the add into one FMA would change bits;
+    ``test_downdate_is_bitwise_equal_to_gathering_form``,
+    ``test_downdates_to_the_end_stay_bitwise_equal_to_gathering_form`` and
+    ``test_downdate_kernel_paths_are_bitwise_equal_to_gathering_form``
+    catch that.  ``state`` is left as it was.
     """
     qi = state.u_index(k)
     if label not in (1.0, -1.0, 1, -1):
@@ -332,12 +347,13 @@ def downdate_inverse(state: LabelState, k: int, label: float) -> LabelState:
         raise DegeneracyError(f"inverse diagonal at node {{}} is {pivot:.3e}; cannot downdate", k)
 
     col = np.concatenate((g[:qi, qi], g[qi + 1:, qi]))
-    new_inv = np.multiply((col / pivot)[:, None], col, out=np.empty((col.size, col.size)))
-    before, after, rest = slice(None, qi), slice(qi + 1, None), slice(qi, None)
-    for src_r, dst_r in ((before, before), (after, rest)):
-        for src_c, dst_c in ((before, before), (after, rest)):
-            dst = new_inv[dst_r, dst_c]
-            np.subtract(g[src_r, src_c], dst, out=dst)
+    new_inv = np.empty((col.size, col.size))
+    new_inv[:qi, :qi], new_inv[:qi, qi:] = g[:qi, :qi], g[:qi, qi + 1:]
+    new_inv[qi:, :qi], new_inv[qi:, qi:] = g[qi + 1:, :qi], g[qi + 1:, qi + 1:]
+    if col.size:  # new_inv.T is Fortran-ordered, so dgemm updates it in place
+        new_inv = scipy.linalg.blas.dgemm(
+            -1.0, col[:, None], (col / pivot)[None, :], beta=1.0, c=new_inv.T, overwrite_c=1
+        ).T
     new_inv.setflags(write=False)
 
     pos = bisect.bisect_left(state.labeled, k)

@@ -184,6 +184,53 @@ def test_downdates_to_the_end_stay_bitwise_equal_to_gathering_form():
     assert state.labeled == tuple(range(30))
 
 
+def state_after_downdates(seed, m, commits=3):
+    """A state with ``m`` unlabeled nodes whose ``G`` earlier downdates made asymmetric."""
+    rng = np.random.default_rng(seed)
+    graph = random_connected_graph(rng, m + commits + 1, m + commits + 1)
+    order = [int(v) for v in rng.permutation(graph.n)]
+    state = init_label_state(build_laplacian(graph), order[:1], [1.0])
+    for k in order[1:commits + 1]:
+        state = downdate_inverse(state, k, 1.0)
+    return state
+
+
+@pytest.mark.parametrize("m", [2, 3, 9, 17, 65, 130, 257])
+def test_downdate_kernel_paths_are_bitwise_equal_to_gathering_form(m):
+    # sizes on both sides of the BLAS's small-matrix and blocked kernels and their tails
+    state = state_after_downdates(100 + m, m)
+    g = state.inverse
+    assert g.shape == (m, m)
+    if m > 3:
+        assert not np.array_equal(g, g.T)
+    for qi in sorted({0, m // 2, m - 1}):
+        after = downdate_inverse(state, state.unlabeled[qi], -1.0)
+        assert np.array_equal(after.inverse, gathering_downdate(g, qi)), f"qi={qi}"
+
+
+def test_downdate_returns_fresh_read_only_values_and_leaves_the_parent_alone():
+    state = state_after_downdates(6, 300)
+    before = state.inverse.copy()
+    k = state.unlabeled[137]
+    first, second = downdate_inverse(state, k, 1.0), downdate_inverse(state, k, -1.0)
+    assert np.array_equal(state.inverse, before)
+    assert np.array_equal(first.inverse, second.inverse)
+    for result in (first, second):
+        assert result.inverse.flags.c_contiguous and not result.inverse.flags.writeable
+        assert not np.shares_memory(result.inverse, state.inverse)
+    assert not np.shares_memory(first.inverse, second.inverse)
+    # the result is the one allocation of size (|u|-1)^2: a copied dgemm
+    # operand or a materialized outer product would add a second
+    m2 = 299 * 299 * 8
+    tracemalloc.start()
+    try:
+        downdate_inverse(state, k, 1.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * m2, f"peak {peak / m2:.2f} x (|u|-1)^2 doubles"
+
+
 def exact_grounded_inverse(graph, labeled):
     """``inv(L_uu)`` in rational arithmetic (Gauss-Jordan on Fractions)."""
     unl = [v for v in range(graph.n) if v not in set(labeled)]
