@@ -19,8 +19,10 @@ form (a BLAS that fused the two into one FMA would break this, and the
 are found by bisection on the ascending node tuples, so a commit does no
 O(|u|) Python work.
 
-Everything is dense by design: the target graphs (a few thousand nodes)
-fit comfortably, and the downdate rule is stated for dense inverses.
+``G`` is dense by design: the target graphs (a few thousand nodes) fit
+comfortably, and the downdate rule is stated for dense inverses.  The
+Laplacian is not: it keeps the edges, O(n + |E|), and scatters the blocks
+``L_uu`` and ``L_ul``; only the oracles assemble it whole.
 """
 from __future__ import annotations
 
@@ -44,7 +46,7 @@ from .errors import (
 
 _CHUNK_CHARS = 1 << 16  # readlines() size hint: one chunk's token lists bound the reader's memory
 _MAX_NODE_ID = np.iinfo(np.int64).max
-_BLOCK = 64  # rows or columns per step of the inverse's gather and mirror; bounds their scratch
+_BLOCK = 64  # columns per step of the inverse's mirror; bounds its scratch
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,28 +105,50 @@ def graph_from_edges(n: int, edges) -> Graph:
 
 @dataclass(frozen=True)
 class Laplacian:
-    """Dense combinatorial Laplacian with the strength parameter folded in.
+    """Combinatorial Laplacian ``beta * L + ridge * I``, kept as the graph's edge arrays.
 
-    ``matrix`` holds ``beta * L + ridge * I``.  With ``ridge == 0`` the rows
-    sum to zero and any connected component without a labeled node makes
-    the unlabeled block singular; a positive ridge makes the block
-    invertible unconditionally.  ``component_of[v]`` is the smallest node
-    of ``v``'s connected component along the edges whose entry in
-    ``matrix`` is negative, i.e. of strictly positive weight.
+    ``diagonal`` is ``beta * degree + ridge``; no n x n matrix is held
+    (:meth:`block` scatters what the fast paths read).  With ``ridge == 0``
+    any connected component without a labeled node makes the unlabeled
+    block singular; a positive ridge makes it invertible unconditionally.
+    ``component_of[v]`` is the smallest node of ``v``'s connected component
+    along the edges whose entry ``(0.0 - w) * beta`` is negative.
     """
 
-    matrix: np.ndarray
+    src: np.ndarray
+    dst: np.ndarray
+    weight: np.ndarray
+    diagonal: np.ndarray
     component_of: np.ndarray
-    beta: float = DEFAULT_BETA
-    ridge: float = 0.0
+    beta: float
+    ridge: float
 
     @property
     def n(self) -> int:
-        return self.matrix.shape[0]
+        return self.diagonal.size
+
+    def block(self, rows, cols) -> np.ndarray:
+        """The dense block ``L[rows][:, cols]`` in a fresh C-order array, scattered from the edges.
+
+        Bitwise the entries of the whole matrix: ``(0.0 - w) * beta`` at an
+        edge (+0.0 for a zero weight), ``diagonal`` where a row meets its
+        own column, +0.0 elsewhere.  Work is O(n + |E|) besides the block.
+        """
+        at_row, at_col = (np.full(self.n, -1, dtype=np.intp) for _ in range(2))
+        at_row[np.asarray(rows, dtype=np.intp)] = np.arange(len(rows))
+        at_col[np.asarray(cols, dtype=np.intp)] = np.arange(len(cols))
+        out = np.zeros((len(rows), len(cols)))
+        for a, b in ((self.src, self.dst), (self.dst, self.src)):
+            r, c = at_row[a], at_col[b]
+            hit = (r >= 0) & (c >= 0)
+            out[r[hit], c[hit]] = (0.0 - self.weight[hit]) * self.beta
+        both = (at_row >= 0) & (at_col >= 0)
+        out[at_row[both], at_col[both]] = self.diagonal[both]
+        return out
 
 
 def build_laplacian(graph: Graph, beta: float = DEFAULT_BETA, ridge: float = 0.0) -> Laplacian:
-    """Assemble ``beta * L`` (plus optional ``ridge * I``) for a graph.
+    """The :class:`Laplacian` of ``beta * L + ridge * I`` for a graph, in O(n + |E|) memory.
 
     ``L[i, j] = -w_ij`` off-diagonal and ``L[i, i] = sum_k w_ik``, summed
     in edge order: the bits are those of adding each edge in turn.  A
@@ -136,23 +160,20 @@ def build_laplacian(graph: Graph, beta: float = DEFAULT_BETA, ridge: float = 0.0
     if not 0 <= ridge < np.inf:
         raise InputError(f"ridge must be nonnegative and finite, got {ridge}")
     n, src, dst, w = graph.n, graph.src, graph.dst, graph.weight
-    m = np.zeros((n, n))
-    m[src, dst] = m[dst, src] = 0.0 - w  # not -w: a zero weight gives +0.0, not -0.0
     # end points interleaved (i0, j0, i1, j1, ...) so that each node's weights
     # add in edge order; all i's before all j's would change the last bits
     ends = np.column_stack((src, dst)).ravel()
-    np.fill_diagonal(m, np.bincount(ends, weights=np.repeat(w, 2), minlength=n))
     with np.errstate(over="ignore"):  # reported below, with the node
-        m *= beta
-        if ridge:
-            m[np.diag_indices(n)] += ridge
-    if not np.isfinite(diag := m.diagonal()).all():
+        # a product, not in place: bincount of no edges is int64
+        diag = np.bincount(ends, weights=np.repeat(w, 2), minlength=n) * beta
+        diag += ridge
+    if not np.isfinite(diag).all():
         raise InputError(f"Laplacian diagonal at node {{}} overflows (beta={beta})", np.argmin(np.isfinite(diag)))
-    m.setflags(write=False)
-    positive = m[src, dst] < 0
+    positive = (0.0 - w) * beta < 0  # not w > 0: a product that underflows to zero is no edge
     labels = _component_labels(n, src[positive], dst[positive])
-    labels.setflags(write=False)
-    return Laplacian(matrix=m, component_of=labels, beta=beta, ridge=ridge)
+    for a in (diag, labels):
+        a.setflags(write=False)
+    return Laplacian(src, dst, w, diag, labels, beta, ridge)
 
 
 def _component_labels(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
@@ -234,9 +255,7 @@ class LabelState:
 
     def cross_term(self) -> np.ndarray:
         """``L_ul @ y_l``, the labeled-to-unlabeled coupling vector."""
-        lu = np.asarray(self.unlabeled, dtype=int)
-        ll = np.asarray(self.labeled, dtype=int)
-        return self.lap.matrix[np.ix_(lu, ll)] @ self.labels
+        return self.lap.block(self.unlabeled, self.labeled) @ self.labels
 
 
 def _check_labels(labels: np.ndarray) -> np.ndarray:
@@ -248,20 +267,18 @@ def _check_labels(labels: np.ndarray) -> np.ndarray:
     return y
 
 
-def _spd_block_inverse(matrix: np.ndarray, nodes: tuple[int, ...]) -> np.ndarray:
-    """``inv(matrix[nodes][:, nodes])`` of a positive-definite block, in one C-order buffer.
+def _spd_block_inverse(lap: Laplacian, nodes: tuple[int, ...]) -> np.ndarray:
+    """``inv(L[nodes][:, nodes])`` of a positive-definite block, in one C-order buffer.
 
-    The block is gathered ``_BLOCK`` rows at a time (``np.take`` buffers
-    ``out`` unless its mode is "clip"; the indices are in range anyway).
-    The block is symmetric, so its transpose is the Fortran-order matrix
-    that ``dpotrf`` + ``dpotri`` (about m^3 flops) overwrite in place; the
-    triangle they leave is mirrored, ``_BLOCK`` columns at a time: exact symmetry.
+    The block is scattered from the edges (:meth:`Laplacian.block`)
+    straight into the buffer.  It is symmetric, so its transpose is the
+    Fortran-order matrix that ``dpotrf`` + ``dpotri`` (about m^3 flops)
+    overwrite in place; the triangle they leave is mirrored, ``_BLOCK``
+    columns at a time: exact symmetry.
     """
     if not nodes:  # dpotri rejects an empty matrix
         return np.zeros((0, 0))
-    buf, iu = np.empty((len(nodes),) * 2), np.asarray(nodes, dtype=np.intp)
-    for r0 in range(0, len(nodes), _BLOCK):
-        np.take(matrix[iu[r0:r0 + _BLOCK]], iu, axis=1, out=buf[r0:r0 + _BLOCK], mode="clip")
+    buf = lap.block(nodes, nodes)
     _, info = scipy.linalg.lapack.dpotrf(buf.T, lower=1, clean=0, overwrite_a=1)
     if not info:
         _, info = scipy.linalg.lapack.dpotri(buf.T, lower=1, overwrite_c=1)
@@ -281,12 +298,12 @@ def init_label_state(lap: Laplacian, labeled, labels) -> LabelState:
 
     This is the O(n^3) entry cost; afterwards :func:`downdate_inverse`
     keeps the inverse current at O(|u|^2) per labeled node.  ``G`` is one
-    buffer: ``L_uu``, overwritten by LAPACK ``dpotrf`` + ``dpotri``, with a
-    triangle mirrored for exact symmetry.  Fails with
-    :class:`UnanchoredComponentError` if some connected component has no
-    labeled node (singular block) and no ridge was requested, and with a
-    :class:`DegeneracyError` naming the node if ``L_uu`` is numerically not
-    positive definite or ``diag(G)`` overflows.
+    buffer: ``L_uu``, scattered from the edges and overwritten by LAPACK
+    ``dpotrf`` + ``dpotri``, with a triangle mirrored for exact symmetry.
+    Fails with :class:`UnanchoredComponentError` if some connected
+    component has no labeled node (singular block) and no ridge was
+    requested, and with a :class:`DegeneracyError` naming the node if
+    ``L_uu`` is numerically not positive definite or ``diag(G)`` overflows.
     """
     labeled = tuple(sorted(int(v) for v in labeled))
     if not labeled:
@@ -306,7 +323,7 @@ def init_label_state(lap: Laplacian, labeled, labels) -> LabelState:
                 raise UnanchoredComponentError(comp)
 
     unlabeled = tuple(v for v in range(lap.n) if v not in lab_set)
-    inv = _spd_block_inverse(lap.matrix, unlabeled)
+    inv = _spd_block_inverse(lap, unlabeled)
     inv.setflags(write=False)
     y = y.copy()
     y.setflags(write=False)
@@ -356,18 +373,34 @@ def downdate_inverse(state: LabelState, k: int, label: float) -> LabelState:
         ).T
     new_inv.setflags(write=False)
 
-    pos = bisect.bisect_left(state.labeled, k)
-    new_labeled = state.labeled[:pos] + (k,) + state.labeled[pos:]
-    new_labels = np.concatenate((state.labels[:pos], (float(label),), state.labels[pos:]))
+    pos, labels = bisect.bisect_left(state.labeled, k), state.labels
+    new_labels = np.empty(labels.size + 1)
+    new_labels[:pos], new_labels[pos], new_labels[pos + 1:] = labels[:pos], label, labels[pos:]
     new_labels.setflags(write=False)
-    new_unlabeled = state.unlabeled[:qi] + state.unlabeled[qi + 1:]
     return LabelState(
-        lap=state.lap,
-        labeled=new_labeled,
-        labels=new_labels,
-        unlabeled=new_unlabeled,
-        inverse=new_inv,
+        state.lap,
+        state.labeled[:pos] + (k,) + state.labeled[pos:],
+        new_labels,
+        state.unlabeled[:qi] + state.unlabeled[qi + 1:],
+        new_inv,
     )
+
+
+def dense_laplacian(lap: Laplacian) -> np.ndarray:
+    """``beta * L + ridge * I`` as an n x n array, one edge at a time.
+
+    For the oracles only, which check the fast paths' :meth:`Laplacian.block`
+    and so share no code with it.
+    """
+    m = np.zeros((lap.n, lap.n))
+    for i, j, w in zip(lap.src.tolist(), lap.dst.tolist(), lap.weight.tolist()):
+        m[i, i] += w
+        m[j, j] += w
+        m[i, j] -= w
+        m[j, i] -= w
+    m *= lap.beta
+    m[np.diag_indices(lap.n)] += lap.ridge
+    return m
 
 
 def inverse_residual(state: LabelState) -> float:
@@ -376,7 +409,7 @@ def inverse_residual(state: LabelState) -> float:
     if m == 0:
         return 0.0
     iu = np.asarray(state.unlabeled, dtype=int)
-    luu = state.lap.matrix[np.ix_(iu, iu)]
+    luu = dense_laplacian(state.lap)[np.ix_(iu, iu)]
     return float(np.max(np.abs(state.inverse @ luu - np.eye(m))))
 
 

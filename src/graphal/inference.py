@@ -22,7 +22,7 @@ import scipy.special
 
 from .config import DEFAULT_ENUM_CAP, DEFAULT_TOLERANCES
 from .errors import CapacityError, DegeneracyError
-from .graph_core import LabelState, Laplacian
+from .graph_core import LabelState, Laplacian, dense_laplacian
 
 _CHUNK = 1 << 16
 
@@ -115,12 +115,14 @@ def lp_harmonic(state: LabelState) -> np.ndarray:
     return -(state.inverse @ state.cross_term())
 
 
-def tsa_marginals(state: LabelState) -> Marginals:
+def tsa_marginals(state: LabelState, h: np.ndarray | None = None) -> Marginals:
     """Two-step-approximation marginals for every unlabeled node.
 
-    Vectorized over the whole unlabeled set: ``f = 2 h / diag(G)``.
+    Vectorized over the whole unlabeled set: ``f = 2 h / diag(G)``, with
+    ``h`` the state's :func:`lp_harmonic` (computed when not given).
     """
-    h = lp_harmonic(state)
+    if h is None:
+        h = lp_harmonic(state)
     if not state.unlabeled:
         return Marginals(MarginalKind.TSA, (), np.zeros(0), np.zeros(0))
     diag = np.diag(state.inverse)
@@ -176,8 +178,9 @@ def exact_bmrf_marginals(
 
     iu = np.asarray(unlabeled, dtype=int)
     il = np.asarray(labeled, dtype=int)
-    a = lap.matrix[np.ix_(iu, iu)]
-    b = lap.matrix[np.ix_(iu, il)] @ y
+    mat = dense_laplacian(lap)
+    a = mat[np.ix_(iu, iu)]
+    b = mat[np.ix_(iu, il)] @ y
 
     total = -np.inf
     plus = np.full(m, -np.inf)
@@ -209,7 +212,7 @@ def tsa_imputation_decision(state: LabelState, k: int) -> float:
     state.u_index(k)  # validates membership
     il = np.asarray(state.labeled, dtype=int)
     rest = np.asarray([v for v in state.unlabeled if v != k], dtype=int)
-    mat = state.lap.matrix
+    mat = dense_laplacian(state.lap)
     coupling = float(mat[k, il] @ state.labels)
     if rest.size:
         rhs = -(mat[np.ix_(rest, il)] @ state.labels)

@@ -17,6 +17,9 @@ computation that shares no code with it:
 * eem-bruteforce  -- expected post-query risk vs. literal expectation
                      over the query outcome and every completion,
                      counting indicator errors
+* laplacian-blocks -- ``L_uu`` and ``L_ul`` scattered from the edges vs.
+                     slices of the dense one-edge-at-a-time assembly,
+                     bit for bit
 
 ``perturb`` injects a bias into the fast route's output so the harness
 itself can be shown to fail loudly; it exists for sanity-testing the
@@ -34,6 +37,7 @@ from .graph_core import (
     Graph,
     LabelState,
     build_laplacian,
+    dense_laplacian,
     downdate_inverse,
     graph_from_edges,
     init_label_state,
@@ -235,6 +239,7 @@ def brute_force_lookahead_risk(state: LabelState, q: int) -> float:
     No risk shortcut, no shared code with the incremental engine.
     """
     lap = state.lap
+    mat = dense_laplacian(lap)
     base = exact_bmrf_marginals(lap, state.labeled, state.labels)
     w_plus = float(base.prob_plus[base.nodes.index(q)])
 
@@ -254,8 +259,8 @@ def brute_force_lookahead_risk(state: LabelState, q: int) -> float:
             continue
         iu = np.asarray(rest, dtype=int)
         il = np.asarray(labeled, dtype=int)
-        a = lap.matrix[np.ix_(iu, iu)]
-        b = lap.matrix[np.ix_(iu, il)] @ labels
+        a = mat[np.ix_(iu, iu)]
+        b = mat[np.ix_(iu, il)] @ labels
         idx = np.arange(1 << m, dtype=np.int64)
         signs = (((idx[:, None] >> np.arange(m)) & 1) * 2 - 1).astype(float)
         logw = -(0.5 * np.einsum("ij,ij->i", signs @ a, signs) + signs @ b)
@@ -284,14 +289,41 @@ def check_eem_bruteforce(
     return CheckResult("eem-bruteforce-equivalence", cases, worst, 1e-10)
 
 
+def check_laplacian_blocks(
+    rng: np.random.Generator, graphs: int, perturb: float = 0.0
+) -> CheckResult:
+    """Scattered ``L_uu`` and ``L_ul`` vs. slices of :func:`dense_laplacian`, bit for bit.
+
+    Weights include 0, 5e-324 and 1e-300 and beta spans 1e-3..1e3, so some
+    entries are -0.0; the deviation counts the entries whose bits differ.
+    """
+    worst, cases = 0.0, 0
+    for _ in range(graphs):
+        tree = random_connected_graph(rng)
+        weights = rng.choice([0.0, 5e-324, 1e-300, 1.0, 2.0 * (1.0 - rng.random())], size=len(tree.edges))
+        graph = graph_from_edges(tree.n, [(i, j, w) for (i, j, _), w in zip(tree.edges, weights)])
+        lap = build_laplacian(graph, float(rng.choice([1e-3, 0.5, 1e3])), float(rng.choice([0.0, 0.25])))
+        mat = dense_laplacian(lap)
+        labeled = np.sort(rng.permutation(graph.n)[: int(rng.integers(graph.n + 1))])
+        unlabeled = np.setdiff1d(np.arange(graph.n), labeled)
+        for cols in (unlabeled, labeled):
+            fast, ref = lap.block(unlabeled, cols), mat[np.ix_(unlabeled, cols)]
+            if perturb:  # -0.0 + 0.0 is +0.0
+                fast += perturb
+            worst = max(worst, float(np.count_nonzero(fast.view(np.uint64) != ref.view(np.uint64))))
+            cases += 1
+    return CheckResult("laplacian-blocks-bitwise", cases, worst, 0.0)
+
+
 def run_selftest(seed: int = 0, graphs: int = 50, perturb: float = 0.0) -> list[CheckResult]:
-    """All four oracle checks on independent seed streams."""
-    streams = np.random.SeedSequence(seed).spawn(4)
+    """All five oracle checks on independent seed streams."""
+    streams = np.random.SeedSequence(seed).spawn(5)
     return [
         check_downdate(np.random.default_rng(streams[0]), graphs, perturb),
         check_lookahead(np.random.default_rng(streams[1]), graphs, perturb),
         check_single_unlabeled(np.random.default_rng(streams[2]), graphs, perturb),
         check_eem_bruteforce(np.random.default_rng(streams[3]), min(graphs, 20), perturb),
+        check_laplacian_blocks(np.random.default_rng(streams[4]), graphs, perturb),
     ]
 
 

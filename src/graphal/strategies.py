@@ -109,7 +109,7 @@ class BinarySession:
 def start_binary(state: LabelState, kind: StrategyKind) -> BinarySession:
     """Open a session: one harmonic solve, plus decision values for tsa."""
     h = lp_harmonic(state)
-    f = tsa_marginals(state).values if kind is StrategyKind.TSA else None
+    f = tsa_marginals(state, h).values if kind is StrategyKind.TSA else None
     return BinarySession(
         kind=kind,
         state=state,
@@ -314,9 +314,7 @@ def multiclass_harmonics(mstate: MulticlassState) -> np.ndarray:
     m = len(base.unlabeled)
     if m == 0:
         return np.zeros((0, mstate.class_count))
-    iu = np.asarray(base.unlabeled, dtype=int)
-    il = np.asarray(base.labeled, dtype=int)
-    cross = base.lap.matrix[np.ix_(iu, il)] @ _class_label_matrix(mstate)
+    cross = base.lap.block(base.unlabeled, base.labeled) @ _class_label_matrix(mstate)
     return -(base.inverse @ cross)
 
 

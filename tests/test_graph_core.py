@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from graphal.eem import BLOCK
 from graphal.errors import (
     DegeneracyError,
     InputError,
@@ -15,6 +16,7 @@ from graphal.errors import (
 from graphal.graph_core import (
     Graph,
     build_laplacian,
+    dense_laplacian,
     downdate_inverse,
     graph_from_edges,
     init_label_state,
@@ -23,6 +25,7 @@ from graphal.graph_core import (
     read_edge_list,
 )
 from graphal.selftest import check_long_downdate, grounded_inverse, random_connected_graph
+from graphal.strategies import StrategyKind, start_binary
 
 
 def chain(n, w=1.0):
@@ -32,25 +35,25 @@ def chain(n, w=1.0):
 def test_three_chain_laplacian_pattern():
     lap = build_laplacian(chain(3))
     expected = np.array([[1.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 1.0]])
-    assert np.array_equal(lap.matrix, expected)
+    assert np.array_equal(dense_laplacian(lap), expected)
 
 
 def test_beta_scales_matrix():
-    base = build_laplacian(chain(4)).matrix
-    scaled = build_laplacian(chain(4), beta=2.5).matrix
+    base = dense_laplacian(build_laplacian(chain(4)))
+    scaled = dense_laplacian(build_laplacian(chain(4), beta=2.5))
     assert np.allclose(scaled, 2.5 * base)
 
 
 def test_ridge_touches_diagonal_only():
-    plain = build_laplacian(chain(4)).matrix
-    ridged = build_laplacian(chain(4), ridge=0.125).matrix
+    plain = dense_laplacian(build_laplacian(chain(4)))
+    ridged = dense_laplacian(build_laplacian(chain(4), ridge=0.125))
     assert np.allclose(ridged - plain, 0.125 * np.eye(4))
 
 
 def test_rows_sum_to_zero_without_ridge():
     g = graph_from_edges(5, [(0, 1, 0.5), (1, 2, 2.0), (2, 3, 1.0), (3, 4, 0.25), (0, 4, 1.5)])
     lap = build_laplacian(g)
-    assert np.allclose(lap.matrix.sum(axis=1), 0.0)
+    assert np.allclose(dense_laplacian(lap).sum(axis=1), 0.0)
 
 
 @pytest.mark.parametrize(
@@ -284,9 +287,10 @@ def test_long_run_downdates_on_ill_conditioned_graphs_match_accurate_inversions(
 
 
 def test_init_label_state_factors_and_solves_in_place():
-    # One (|u|, |u|) buffer holds the gather, the factor and the inverse; the
-    # gather's and the mirror's scratch are bounded row or column blocks.  A
-    # copying factor or inverse, or a whole-matrix transpose, adds a second.
+    # One (|u|, |u|) buffer holds the scattered L_uu, the factor and the
+    # inverse; the scatter's scratch is O(n + |E|) and the mirror's a bounded
+    # column block.  A copying factor or inverse, or a whole-matrix
+    # transpose, adds a second.
     lap = build_laplacian(random_connected_graph(np.random.default_rng(2), 300, 300))
     m2 = 299 * 299 * 8
     tracemalloc.start()
@@ -297,6 +301,35 @@ def test_init_label_state_factors_and_solves_in_place():
         tracemalloc.stop()
     assert state.inverse.shape == (299, 299)
     assert peak < 1.6 * m2, f"peak {peak / m2:.2f} x |u|^2 doubles"
+
+
+def test_set_up_holds_no_dense_laplacian():
+    # From ingest to an open session, G is the only |u|^2 array; an n x n
+    # Laplacian would add about 1.0 x.  The binary session's scratch, two
+    # BLOCK x |u| buffers (1.28 x here), comes on top.
+    graph = random_connected_graph(np.random.default_rng(2), 300, 300)
+    m2 = 299 * 299 * 8
+    tracemalloc.start()
+    try:
+        session = start_binary(init_label_state(build_laplacian(graph), [0], [1.0]), StrategyKind.TSA)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert session.state.inverse.shape == (299, 299)
+    peak -= 2 * BLOCK * 299 * 8
+    assert peak < 1.6 * m2, f"peak {peak / m2:.2f} x |u|^2 doubles besides the session scratch"
+
+
+def test_build_laplacian_memory_is_linear_in_the_edges():
+    n = 3000
+    ring = Graph(n, np.r_[np.arange(n - 1), 0], np.r_[np.arange(1, n), n - 1], np.ones(n))
+    tracemalloc.start()
+    try:
+        build_laplacian(ring)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * (n + n), f"peak {peak / (2 * n):.1f} bytes per node and edge"
 
 
 def test_unanchored_component_is_diagnosed():
@@ -338,8 +371,9 @@ def test_state_arrays_are_read_only():
         state.inverse[0, 0] = 7.0
     with pytest.raises(ValueError):
         state.labels[0] = -1.0
-    with pytest.raises(ValueError):
-        state.lap.matrix[0, 0] = 7.0
+    for a in (state.lap.src, state.lap.dst, state.lap.weight, state.lap.diagonal, state.lap.component_of):
+        with pytest.raises(ValueError):
+            a[0] = 7
 
 
 def test_label_and_index_lookups():

@@ -17,7 +17,14 @@ from hypothesis import strategies as st
 
 from graphal import graph_core
 from graphal.errors import DegeneracyError, InputError, ParseError, UnanchoredComponentError
-from graphal.graph_core import Graph, build_laplacian, init_label_state, positive_components, read_edge_list
+from graphal.graph_core import (
+    Graph,
+    build_laplacian,
+    dense_laplacian,
+    init_label_state,
+    positive_components,
+    read_edge_list,
+)
 from graphal.harness import load_dataset
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -363,9 +370,43 @@ def test_laplacian_and_components_match_loops(case):
     graph, beta, ridge = case
     lap = build_laplacian(graph, beta=beta, ridge=ridge)
     expected = reference_laplacian(graph, beta, ridge)
-    assert np.array_equal(lap.matrix, expected)
-    assert lap.matrix.tobytes() == expected.tobytes()  # down to the sign of zeros
+    assert np.array_equal(dense_laplacian(lap), expected)
+    assert dense_laplacian(lap).tobytes() == expected.tobytes()  # down to the sign of zeros
     assert positive_components(lap) == reference_components(expected)
+
+
+@given(weighted_graphs(), st.data())
+@PROPERTY
+def test_scattered_blocks_match_the_loop_bitwise(case, data):
+    # L_uu carries the diagonal and the ridge, L_ul none; either set may be empty
+    graph, beta, ridge = case
+    lap = build_laplacian(graph, beta=beta, ridge=ridge)
+    expected = reference_laplacian(graph, beta, ridge)
+    labeled = tuple(sorted(data.draw(st.sets(st.integers(0, graph.n - 1)))))
+    unlabeled = tuple(v for v in range(graph.n) if v not in labeled)
+    for rows, cols in ((unlabeled, unlabeled), (unlabeled, labeled), (labeled, unlabeled), (labeled, labeled)):
+        block = lap.block(rows, cols)
+        want = expected[np.ix_(rows, cols)]
+        assert block.shape == want.shape and block.dtype == np.float64 and block.flags.c_contiguous
+        assert block.tobytes() == want.tobytes()  # down to the sign of zeros
+
+
+@pytest.mark.parametrize("n", [1, 4])
+@pytest.mark.parametrize("beta,ridge", [(1.0, 0.0), (1e-3, 0.25)])
+def test_edgeless_laplacian_is_float_ridge_diagonal(n, beta, ridge):
+    # bincount over no edges is int64; the diagonal must still be float64
+    lap = build_laplacian(Graph(n, [], [], []), beta=beta, ridge=ridge)
+    assert lap.diagonal.dtype == np.float64
+    assert lap.block(range(n), range(n)).tobytes() == (ridge * np.eye(n)).tobytes()
+    assert positive_components(lap) == [(v,) for v in range(n)]
+
+
+def test_underflowing_edge_splits_its_component():
+    # (0.0 - 5e-324) * 1e-3 is -0.0: an entry of zero, so no edge joins 1 and 2
+    graph = Graph(3, [0, 1], [1, 2], [1.0, 5e-324])
+    lap = build_laplacian(graph, beta=1e-3)
+    assert positive_components(lap) == [(0, 1), (2,)]
+    assert lap.block([1], [2]).tobytes() == np.array([[-0.0]]).tobytes()
 
 
 @given(weighted_graphs(), st.data())
@@ -374,7 +415,7 @@ def test_unanchored_component_is_the_one_the_dfs_names(case, data):
     graph, beta, _ = case
     lap = build_laplacian(graph, beta=beta)
     labeled = sorted(data.draw(st.sets(st.integers(0, graph.n - 1), min_size=1)))
-    unanchored = [c for c in reference_components(lap.matrix) if not set(c) & set(labeled)]
+    unanchored = [c for c in reference_components(dense_laplacian(lap)) if not set(c) & set(labeled)]
     try:
         init_label_state(lap, labeled, [1.0] * len(labeled))
     except UnanchoredComponentError as exc:
