@@ -15,11 +15,12 @@ one-step update from the maintained inverse ``G`` (no refactorization):
 
 so one selection sweep costs O(|u|^2).  ``tsa_risk_table`` and
 ``zlg_risk_table`` evaluate all candidates at once in cache-friendly row
-blocks, reusing preallocated scratch (:class:`Workspace`) so steady-state
-selection does no large allocations.  The tsa table's per-node risk
-``min(p, 1-p) = 1 / (1 + exp|f+|)`` comes from ``inference._logistic_tail``,
-the vectorized-``exp`` kernel behind ``sigmoid``; its bits differ from
-``scipy.special.expit`` by a few ULP, the choices made from it do not.
+blocks; :func:`candidate_blocks`, which the one-vs-rest sweep shares, sizes
+them and carves their scratch from one allocation per call.  The tsa table's
+per-node risk ``min(p, 1-p) = 1 / (1 + exp|f+|)`` comes from
+``inference._logistic_tail``, the vectorized-``exp`` kernel behind
+``sigmoid``; its bits differ from ``scipy.special.expit`` by a few ULP, the
+choices made from it do not.
 
 ``lookahead_risk`` is the plain per-candidate form of the same quantity,
 kept around as the readable reference the tables are tested against (its
@@ -45,7 +46,8 @@ from .inference import (
     tsa_marginals,
 )
 
-BLOCK = 192
+BLOCK = 192  # candidate rows per block at most, divided by C one-vs-rest
+BLOCK_CELLS = 36_000  # cells per scratch slab: caps the rows so blocks stay in cache
 
 
 def zero_one_risk(marginals: Marginals, n: int) -> float:
@@ -166,61 +168,64 @@ def lookahead_risk(
     raise UsageError(f"unsupported marginal kind {kind}")
 
 
-class Workspace:
-    """Preallocated scratch for the blocked risk tables.
+def block_rows(m: int, classes: int = 1) -> int:
+    """Rows per block of ``m`` candidates: ``max(1, min(BLOCK // C, BLOCK_CELLS // m))``."""
+    return min(m, max(1, min(BLOCK // classes, BLOCK_CELLS // m)))
 
-    Two flat buffers sized ``BLOCK * capacity`` are reshaped into row-block
-    views on demand.  Reusing them keeps the per-query hot loop free of
-    multi-megabyte allocations, which matters for stable per-query timing
-    as the graph grows.
+
+def candidate_blocks(m: int, slabs: int, classes: int = 1):
+    """Sweep ``m`` candidates in row blocks of :func:`block_rows`.
+
+    Yields ``(q0, q1, diag, scratch)``: candidates ``q0:q1``, the index pair
+    of their q == k entries in a (rows, |u|) block, and ``slabs`` contiguous
+    (rows, |u|) scratch slabs, all carved from one allocation per sweep
+    (contents are garbage).
     """
-
-    def __init__(self, capacity: int):
-        if capacity < 1:
-            raise UsageError(f"capacity must be positive, got {capacity}")
-        self._cap = int(capacity)
-        self._b1 = np.empty(BLOCK * self._cap)
-        self._b2 = np.empty(BLOCK * self._cap)
-
-    def _grow(self, m: int) -> None:
-        if m > self._cap:
-            self._cap = m
-            self._b1 = np.empty(BLOCK * self._cap)
-            self._b2 = np.empty(BLOCK * self._cap)
-
-    def pair(self, rows: int, m: int) -> tuple[np.ndarray, np.ndarray]:
-        """Two (rows, m) scratch views; contents are garbage."""
-        self._grow(m)
-        k = rows * m
-        return self._b1[:k].reshape(rows, m), self._b2[:k].reshape(rows, m)
+    step = block_rows(m, classes)
+    work = np.empty((slabs, step, m))
+    for q0 in range(0, m, step):
+        q1 = min(q0 + step, m)
+        yield q0, q1, (np.arange(q1 - q0), np.arange(q0, q1)), work[:, :q1 - q0]
 
 
-def tsa_risk_table(
-    state: LabelState,
-    f: np.ndarray | None = None,
-    workspace: Workspace | None = None,
-) -> np.ndarray:
+def lookahead_denominators(state: LabelState, d, g_rows, q0: int, diag, out) -> np.ndarray:
+    """``G_kk - G_qk^2 / G_qq`` for candidates ``q0, q0 + 1, ...``, into ``out``.
+
+    ``g_rows[i]`` holds ``G_qk`` over k for candidate ``q0 + i``: row q of
+    ``G`` for the binary tables, column q one-vs-rest (after downdates ``G``
+    is symmetric only to rounding).  ``d`` is ``diag(G)``.  The q == k slots
+    (``diag``), which the sweeps handle separately, read 1.
+    """
+    np.multiply(g_rows, g_rows, out=out)
+    out /= d[q0:q0 + len(out), None]
+    np.subtract(d, out, out=out)
+    out[diag] = 1.0
+    if out.min() <= state.singular_floor:
+        qi, ki = np.unravel_index(int(np.argmin(out)), out.shape)
+        raise DegeneracyError(
+            "lookahead denominator vanished for candidate {} at node {}",
+            state.unlabeled[q0 + qi],
+            state.unlabeled[ki],
+        )
+    return out
+
+
+def tsa_risk_table(state: LabelState, f: np.ndarray | None = None) -> np.ndarray:
     """Expected post-query risk of every unlabeled candidate (TSA route).
 
     Vectorizes the closed-form decision-value update over all (q, k) pairs:
     the denominator ``G_kk - G_qk^2/G_qq`` is shared by both label branches,
     and the numerator is ``G_kk f_k + b_y(q) G_qk`` with a per-candidate
-    coefficient ``b_y(q) = 2y/G_qq - f_q``.  Candidate rows are processed in
-    blocks of ``BLOCK`` for cache locality.
+    coefficient ``b_y(q) = 2y/G_qq - f_q``.  Candidate q reads row q of
+    ``G``, swept in blocks by :func:`candidate_blocks`.
     """
     m = len(state.unlabeled)
     if m == 0:
         return np.zeros(0)
     g = state.inverse
-    d = np.diag(g).copy()
-    tol = state.singular_floor
-    if d.min() <= tol:
-        bad = state.unlabeled[int(np.argmin(d))]
-        raise DegeneracyError("inverse diagonal vanished at node {}", bad)
+    d = state.checked_diagonal()
     if f is None:
         f = tsa_marginals(state).values
-    if workspace is None:
-        workspace = Workspace(m)
 
     a = d * f  # = 2 h, the diagonal-free part of the numerator
     b_plus = 2.0 / d - f
@@ -229,44 +234,23 @@ def tsa_risk_table(
     risk_plus = np.empty(m)
     risk_minus = np.empty(m)
 
-    for q0 in range(0, m, BLOCK):
-        q1 = min(q0 + BLOCK, m)
-        rows = q1 - q0
+    for q0, q1, diag, (denom, num) in candidate_blocks(m, 2):
         gb = g[q0:q1]
-        denom, num = workspace.pair(rows, m)
-        diag_r = np.arange(rows)
-        diag_c = np.arange(q0, q1)
-
-        np.multiply(gb, gb, out=denom)
-        denom /= d[q0:q1, None]
-        np.subtract(d[None, :], denom, out=denom)
-        denom[diag_r, diag_c] = 1.0  # the q == k slot is handled separately
-        if denom.min() <= tol:
-            qi, ki = np.unravel_index(int(np.argmin(denom)), denom.shape)
-            raise DegeneracyError(
-                "lookahead denominator vanished for candidate {} at node {}",
-                state.unlabeled[q0 + qi],
-                state.unlabeled[ki],
-            )
-
+        lookahead_denominators(state, d, gb, q0, diag, denom)
         for coeff, out_vec in ((b_plus, risk_plus), (b_minus, risk_minus)):
             np.multiply(gb, coeff[q0:q1, None], out=num)
             num += a[None, :]
             num /= denom
             np.abs(num, out=num)
             _logistic_tail(num, out=num)  # min(p, 1 - p) = sigmoid(-|f+|)
-            num[diag_r, diag_c] = 0.0  # just-queried node is certain
+            num[diag] = 0.0  # just-queried node is certain
             np.sum(num, axis=1, out=out_vec[q0:q1])
 
     w_plus = sigmoid(f)
     return (w_plus * risk_plus + (1.0 - w_plus) * risk_minus) * inv_n
 
 
-def zlg_risk_table(
-    state: LabelState,
-    h: np.ndarray | None = None,
-    workspace: Workspace | None = None,
-) -> np.ndarray:
+def zlg_risk_table(state: LabelState, h: np.ndarray | None = None) -> np.ndarray:
     """Expected post-query risk of every candidate under harmonic marginals.
 
     Same blocked layout as :func:`tsa_risk_table`; here the updated value is
@@ -277,29 +261,16 @@ def zlg_risk_table(
     if m == 0:
         return np.zeros(0)
     g = state.inverse
-    d = np.diag(g).copy()
-    tol = state.singular_floor
-    if d.min() <= tol:
-        bad = state.unlabeled[int(np.argmin(d))]
-        raise DegeneracyError("inverse diagonal vanished at node {}", bad)
+    d = state.checked_diagonal()
     if h is None:
         h = lp_harmonic(state)
-    if workspace is None:
-        workspace = Workspace(m)
 
     inv_n = 1.0 / state.n
     risk_plus = np.empty(m)
     risk_minus = np.empty(m)
 
-    for q0 in range(0, m, BLOCK):
-        q1 = min(q0 + BLOCK, m)
-        rows = q1 - q0
-        gb = g[q0:q1]
-        ratio, hp = workspace.pair(rows, m)
-        diag_r = np.arange(rows)
-        diag_c = np.arange(q0, q1)
-
-        np.divide(gb, d[q0:q1, None], out=ratio)
+    for q0, q1, diag, (ratio, hp) in candidate_blocks(m, 2):
+        np.divide(g[q0:q1], d[q0:q1, None], out=ratio)
         for y, out_vec in ((1.0, risk_plus), (-1.0, risk_minus)):
             np.multiply(ratio, (y - h[q0:q1])[:, None], out=hp)
             hp += h[None, :]
@@ -307,7 +278,7 @@ def zlg_risk_table(
             np.minimum(hp, 1.0, out=hp)
             np.subtract(1.0, hp, out=hp)
             hp *= 0.5
-            hp[diag_r, diag_c] = 0.0
+            hp[diag] = 0.0
             np.sum(hp, axis=1, out=out_vec[q0:q1])
 
     w_plus = (np.clip(h, -1.0, 1.0) + 1.0) / 2.0

@@ -243,6 +243,18 @@ class LabelState:
         """
         return DEFAULT_TOLERANCES.singularity * self.inverse.diagonal().max()
 
+    def checked_diagonal(self) -> np.ndarray:
+        """``diag(G)`` as a contiguous copy, each entry above ``singular_floor``.
+
+        Contiguous because the risk sweeps broadcast it against every row
+        block; the strided view of ``np.diag`` makes that broadcast slower.
+        """
+        d = self.inverse.diagonal().copy()
+        if d.min() <= self.singular_floor:
+            bad = self.unlabeled[int(np.argmin(d))]
+            raise DegeneracyError("inverse diagonal vanished at node {}", bad)
+        return d
+
     @property
     def n(self) -> int:
         return self.lap.n

@@ -21,7 +21,7 @@ import numpy as np
 import scipy.special
 
 from .config import DEFAULT_ENUM_CAP, DEFAULT_TOLERANCES
-from .errors import CapacityError, DegeneracyError
+from .errors import CapacityError
 from .graph_core import LabelState, Laplacian, dense_laplacian
 
 _CHUNK = 1 << 16
@@ -125,11 +125,7 @@ def tsa_marginals(state: LabelState, h: np.ndarray | None = None) -> Marginals:
         h = lp_harmonic(state)
     if not state.unlabeled:
         return Marginals(MarginalKind.TSA, (), np.zeros(0), np.zeros(0))
-    diag = np.diag(state.inverse)
-    if diag.min() <= state.singular_floor:
-        bad = state.unlabeled[int(np.argmin(diag))]
-        raise DegeneracyError("inverse diagonal vanished at node {}", bad)
-    f = 2.0 * h / diag
+    f = 2.0 * h / state.checked_diagonal()
     return Marginals(MarginalKind.TSA, state.unlabeled, sigmoid(f), f)
 
 

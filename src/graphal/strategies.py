@@ -30,22 +30,19 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .config import DEFAULT_TOLERANCES
-from .errors import DegeneracyError, UsageError
+from .errors import UsageError
 from .graph_core import LabelState, Laplacian, downdate_inverse, init_label_state
 from .eem import (
-    BLOCK,
-    Workspace,
     argmin_ties,
+    block_rows,
+    candidate_blocks,
+    lookahead_denominators,
     tsa_risk_table,
     zlg_risk_table,
     tsa_lookahead_decisions,
     zlg_lookahead_harmonic,
 )
 from .inference import _saturating_tail, lp_harmonic, sigmoid, tsa_marginals
-
-#: Cells per class slab of a one-vs-rest candidate block: rows are capped at
-#: this over |u| so the block's scratch stays in cache on large graphs.
-MULTICLASS_BLOCK_CELLS = 36_000
 
 
 class StrategyKind(enum.Enum):
@@ -95,28 +92,21 @@ class BinarySession:
     """Evolving binary run: state + incrementally maintained vectors.
 
     ``harmonic`` is kept for every kind (it is the prediction surface);
-    ``decisions`` only for tsa.  ``workspace`` is shared scratch reused
-    across steps; sessions are value objects apart from it.
+    ``decisions`` only for tsa.  Sessions are immutable values; the risk
+    tables allocate their scratch per call.
     """
 
     kind: StrategyKind
     state: LabelState
     harmonic: np.ndarray
     decisions: np.ndarray | None
-    workspace: Workspace
 
 
 def start_binary(state: LabelState, kind: StrategyKind) -> BinarySession:
     """Open a session: one harmonic solve, plus decision values for tsa."""
     h = lp_harmonic(state)
     f = tsa_marginals(state, h).values if kind is StrategyKind.TSA else None
-    return BinarySession(
-        kind=kind,
-        state=state,
-        harmonic=h,
-        decisions=f,
-        workspace=Workspace(max(1, len(state.unlabeled))),
-    )
+    return BinarySession(kind=kind, state=state, harmonic=h, decisions=f)
 
 
 def _choose(kind: StrategyKind, state: LabelState, risk_table, rng) -> int:
@@ -147,8 +137,8 @@ def next_query(session: BinarySession, rng: np.random.Generator | None = None) -
 
     def risk_table():
         if session.kind is StrategyKind.TSA:
-            return tsa_risk_table(session.state, f=session.decisions, workspace=session.workspace)
-        return zlg_risk_table(session.state, h=session.harmonic, workspace=session.workspace)
+            return tsa_risk_table(session.state, f=session.decisions)
+        return zlg_risk_table(session.state, h=session.harmonic)
 
     return _choose(session.kind, session.state, risk_table, rng)
 
@@ -318,9 +308,10 @@ def multiclass_harmonics(mstate: MulticlassState) -> np.ndarray:
     return -(base.inverse @ cross)
 
 
-def multiclass_decisions(mstate: MulticlassState) -> np.ndarray:
-    """Per-class decision values 2 h^c / G_kk, (|u|, C)."""
-    h = multiclass_harmonics(mstate)
+def multiclass_decisions(mstate: MulticlassState, h: np.ndarray | None = None) -> np.ndarray:
+    """Per-class decision values 2 h^c / G_kk, (|u|, C), from ``h`` if given."""
+    if h is None:
+        h = multiclass_harmonics(mstate)
     if h.shape[0] == 0:
         return h
     return 2.0 * h / np.diag(mstate.states[0].inverse)[:, None]
@@ -388,19 +379,19 @@ def multiclass_risk_table(
     where the exact ``G_qk`` is 0, are patched with the exact max over the
     other classes, so no sign of ``G`` is assumed.
 
-    Candidates are swept in blocks of ``rows = min(BLOCK // C,
-    MULTICLASS_BLOCK_CELLS // |u|)`` (at least 1), so a block's scratch
-    stays bounded as |u| grows.  The per-class values are laid out
+    Candidates are swept by :func:`~graphal.eem.candidate_blocks`, in blocks
+    of ``rows = max(1, min(BLOCK // C, BLOCK_CELLS // |u|))``, so a block's
+    scratch stays bounded as |u| grows.  The per-class values are laid out
     class-major, (C, rows, |u|), so every class slab is contiguous.  One
     fold over classes 0..C-1 gives the row sum and row max of ``S-``.
     For tsa the slabs hold ``-A = (cols f_q - d f) / denom``, the exact
     negation of A (rounding is symmetric in sign), so the logistic kernel
     reads ``-A + B = -(A - B)`` and ``-A - B = -(A + B)`` without a
     negation pass.
-    Every pass writes into scratch allocated once per call: ``2C + 6``
-    float slabs of ``(rows, |u|)``, i.e. at most ``(2C + 6) *
-    MULTICLASS_BLOCK_CELLS`` floats (2.9 MB at C=2, 4.0 MB at C=4) while
-    |u| <= MULTICLASS_BLOCK_CELLS, plus one bool slab.
+    Every pass writes into the driver's scratch, allocated once per call:
+    ``2C + 6`` float slabs of ``(rows, |u|)``, i.e. at most ``(2C + 6) *
+    BLOCK_CELLS`` floats (2.9 MB at C=2, 4.0 MB at C=4) while
+    |u| <= BLOCK_CELLS, plus one bool slab.
 
     The result is bitwise equal to the per-candidate form (kept in the
     tests as the reference) because every quantity is computed by the
@@ -417,11 +408,7 @@ def multiclass_risk_table(
     if m == 0:
         raise UsageError("no unlabeled nodes left to query")
     g = base.inverse
-    d = np.diag(g)
-    tol = base.singular_floor
-    if d.min() <= tol:
-        bad = base.unlabeled[int(np.argmin(d))]
-        raise DegeneracyError("inverse diagonal vanished at node {}", bad)
+    d = base.checked_diagonal()
     n = mstate.n
     c_count = mstate.class_count
 
@@ -442,34 +429,16 @@ def multiclass_risk_table(
     else:
         raise UsageError(f"{kind} has no expected-risk table")
 
-    step = min(m, max(1, min(BLOCK // c_count, MULTICLASS_BLOCK_CELLS // m)))
-    work = np.empty((2 * c_count + 6, step, m))  # scratch for the whole sweep
-    mask_buf = np.empty((step, m), dtype=bool)
+    mask_buf = np.empty((block_rows(m, c_count), m), dtype=bool)
     risk = np.zeros(m)
-    for q0 in range(0, m, step):
-        q1 = min(q0 + step, m)
-        rows = q1 - q0
-        blk = work[:, :rows]  # every blk[i] is a contiguous (rows, |u|) slab
+    for q0, q1, diag, blk in candidate_blocks(m, 2 * c_count + 6, c_count):
         a_all, s_minus = blk[:c_count], blk[c_count:2 * c_count]
         cols, shift, z, s_plus, base_sum, top1 = blk[2 * c_count:]
-        mask = mask_buf[:rows]
+        mask = mask_buf[:q1 - q0]
         np.copyto(cols, g[:, q0:q1].T)
         dq = d[q0:q1, None]
-        diag_r = np.arange(rows)
-        diag_c = np.arange(q0, q1)
         if tsa:
-            inv_denom = z
-            np.multiply(cols, cols, out=inv_denom)
-            inv_denom /= dq
-            np.subtract(d, inv_denom, out=inv_denom)
-            inv_denom[diag_r, diag_c] = 1.0
-            if inv_denom.min() <= tol:
-                qi, ki = np.unravel_index(int(np.argmin(inv_denom)), inv_denom.shape)
-                raise DegeneracyError(
-                    "lookahead denominator vanished for candidate {} at node {}",
-                    base.unlabeled[q0 + qi],
-                    base.unlabeled[ki],
-                )
+            inv_denom = lookahead_denominators(base, d, cols, q0, diag, out=z)
             np.divide(1.0, inv_denom, out=inv_denom)
             np.multiply(2.0, cols, out=shift)
             shift /= dq
@@ -516,7 +485,7 @@ def multiclass_risk_table(
                 np.divide(maxes, sums, out=ratio, where=np.greater(sums, 0.0, out=mask))
             contrib = ratio
             np.subtract(1.0, ratio, out=contrib)
-            contrib[diag_r, diag_c] = 0.0  # the queried node is observed under every outcome
+            contrib[diag] = 0.0  # the queried node is observed under every outcome
             risk[q0:q1] += weights[q0:q1, c] * contrib.sum(axis=1)
     return risk / n
 
@@ -533,9 +502,7 @@ class MulticlassSession:
 
 def start_multiclass(mstate: MulticlassState, kind: StrategyKind) -> MulticlassSession:
     h = multiclass_harmonics(mstate)
-    f = None
-    if kind is StrategyKind.TSA:
-        f = 2.0 * h / np.diag(mstate.states[0].inverse)[:, None] if h.shape[0] else h
+    f = multiclass_decisions(mstate, h) if kind is StrategyKind.TSA else None
     return MulticlassSession(kind=kind, mstate=mstate, harmonics=h, decisions=f)
 
 

@@ -1,4 +1,6 @@
 """Lookahead risk, the closed-form updates, and query selection."""
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -17,8 +19,9 @@ from graphal.inference import (
     tsa_marginals,
     zlg_marginals,
 )
+from graphal import eem
 from graphal.eem import (
-    Workspace,
+    BLOCK_CELLS,
     argmin_ties,
     lookahead_risk,
     tsa_lookahead_decisions,
@@ -34,6 +37,7 @@ from graphal.strategies import (
     multiclass_risk_table,
     next_query,
     start_binary,
+    update,
 )
 
 
@@ -159,11 +163,10 @@ def test_risk_tables_match_per_candidate_form(demo_chain):
 
 def test_risk_tables_on_random_graphs_match_reference():
     rng = np.random.default_rng(29)
-    ws = Workspace(8)  # deliberately small; must grow transparently
     for _ in range(10):
         state = random_labeled_state(rng, random_connected_graph(rng))
-        table = tsa_risk_table(state, workspace=ws)
-        ztable = zlg_risk_table(state, workspace=ws)
+        table = tsa_risk_table(state)
+        ztable = zlg_risk_table(state)
         for i, q in enumerate(state.unlabeled):
             assert table[i] == pytest.approx(
                 lookahead_risk(state, MarginalKind.TSA, q), abs=1e-10
@@ -188,16 +191,62 @@ def test_demo_chain_lookahead_minimum_at_node_16(demo_chain):
     assert candidates[int(np.argmin(exact_risks))] == 15
 
 
-def test_workspace_reuse_is_idempotent(demo_chain):
-    ws = Workspace(len(demo_chain.unlabeled))
-    first = tsa_risk_table(demo_chain, workspace=ws).copy()
-    second = tsa_risk_table(demo_chain, workspace=ws)
-    assert np.array_equal(first, second)
+def binary_session_after_downdates(n, seed):
+    """A tsa session on an n-node random graph after 8 commits."""
+    rng = np.random.default_rng(seed)
+    graph = random_connected_graph(rng, n_max=n, n_min=n)
+    truth = np.where(rng.random(graph.n) < 0.5, 1.0, -1.0)
+    session = start_binary(init_label_state(build_laplacian(graph), [0], [truth[0]]), StrategyKind.TSA)
+    for _ in range(8):
+        q = session.state.unlabeled[int(rng.integers(len(session.state.unlabeled)))]
+        session = update(session, q, truth[q])
+    return session
 
 
-def test_workspace_rejects_bad_capacity():
-    with pytest.raises(UsageError):
-        Workspace(0)
+def test_binary_risk_tables_do_not_depend_on_the_block_layout(monkeypatch):
+    session = binary_session_after_downdates(400, 31)
+    state = session.state
+    m = len(state.unlabeled)
+    assert 1 < eem.block_rows(m) < m  # the default sweep spans several blocks
+    assert not np.array_equal(state.inverse, state.inverse.T)  # symmetric only to rounding
+
+    def tables():
+        return (
+            tsa_risk_table(state, f=session.decisions),
+            zlg_risk_table(state, h=session.harmonic),
+        )
+
+    default = tables()
+    monkeypatch.setattr(eem, "BLOCK_CELLS", 1)  # one candidate per block
+    assert eem.block_rows(m) == 1
+    single = tables()
+    monkeypatch.setattr(eem, "BLOCK", m)
+    monkeypatch.setattr(eem, "BLOCK_CELLS", m * m)  # every candidate in one block
+    assert eem.block_rows(m) == m
+    whole = tables()
+    for layout in (single, whole):
+        for got, want in zip(layout, default):
+            assert np.array_equal(got, want)
+
+
+def test_binary_risk_table_scratch_is_bounded_by_the_cell_budget():
+    # A call holds two BLOCK_CELLS-bounded slabs (120 x 299 here), a few
+    # |u|-vectors and numpy's ufunc buffer; 192-row blocks would not fit.
+    state = init_label_state(
+        build_laplacian(random_connected_graph(np.random.default_rng(2), 300, 300)), [0], [1.0]
+    )
+    m = len(state.unlabeled)
+    h = lp_harmonic(state)
+    f = tsa_marginals(state, h).values
+    budget = (1.1 * (2 * BLOCK_CELLS + 16 * m) + np.getbufsize()) * 8
+    for table, vector in ((tsa_risk_table, f), (zlg_risk_table, h)):
+        tracemalloc.start()
+        try:
+            table(state, vector)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < budget, f"{table.__name__} peak {peak / 8:.0f} doubles"
 
 
 # --- selection and tie-breaking ----------------------------------------------

@@ -9,9 +9,8 @@ from hypothesis import strategies as st
 from graphal.errors import UsageError
 from graphal.graph_core import build_laplacian, graph_from_edges, init_label_state
 from graphal.inference import lp_harmonic, sigmoid, tsa_marginals
-from graphal.eem import BLOCK, tsa_lookahead_decisions, tsa_risk_table, zlg_lookahead_harmonic
+from graphal.eem import BLOCK, BLOCK_CELLS, tsa_lookahead_decisions, tsa_risk_table, zlg_lookahead_harmonic
 from graphal.strategies import (
-    MULTICLASS_BLOCK_CELLS,
     MulticlassState,
     StrategyKind,
     init_multiclass,
@@ -338,7 +337,7 @@ def test_multiclass_risk_table_blocks_match_per_candidate_reference(kind, classe
     # at n=460 the cell budget caps the 96-row blocks at 79 rows
     session = multiclass_session_after_downdates(kind, classes, 41 + classes, beta=beta, n=n)
     m = len(session.mstate.unlabeled)
-    assert (MULTICLASS_BLOCK_CELLS // m < BLOCK // classes) == (n > 100)
+    assert (BLOCK_CELLS // m < BLOCK // classes) == (n > 100)
     g = session.mstate.states[0].inverse
     assert not np.array_equal(g, g.T)  # downdates leave G symmetric only to rounding
     if kind is StrategyKind.TSA and beta > 1.0:
