@@ -77,15 +77,10 @@ def tsa_lookahead_decisions(state: LabelState, f: np.ndarray, q: int, y) -> np.n
     qi = state.u_index(q)
     g = state.inverse
     d = np.diag(g)
-    tol = state.singular_floor
-    if d[qi] <= tol:
+    if d[qi] <= state.singular_floor:
         raise DegeneracyError(f"inverse diagonal at node {{}} is {d[qi]:.3e}", q)
     col = g[:, qi]
-    denom = d - col * col / d[qi]
-    denom[qi] = 1.0
-    if denom.min() <= tol:
-        bad = state.unlabeled[int(np.argmin(denom))]
-        raise DegeneracyError("lookahead denominator vanished at node {}", bad)
+    denom = lookahead_denominators(state, d, col[None, :], qi, (0, qi), np.empty((1, d.size)))[0]
     if f.ndim == 2:
         d, col, denom = d[:, None], col[:, None], denom[:, None]
     fp = (d * f + (2.0 * y / d[qi] - f[qi]) * col) / denom
@@ -192,9 +187,10 @@ def lookahead_denominators(state: LabelState, d, g_rows, q0: int, diag, out) -> 
     """``G_kk - G_qk^2 / G_qq`` for candidates ``q0, q0 + 1, ...``, into ``out``.
 
     ``g_rows[i]`` holds ``G_qk`` over k for candidate ``q0 + i``: row q of
-    ``G`` for the binary tables, column q one-vs-rest (after downdates ``G``
-    is symmetric only to rounding).  ``d`` is ``diag(G)``.  The q == k slots
-    (``diag``), which the sweeps handle separately, read 1.
+    ``G`` for the binary tables, column q for the one-vs-rest sweep and for
+    :func:`tsa_lookahead_decisions` (after downdates ``G`` is symmetric only
+    to rounding).  ``d`` is ``diag(G)``.  The q == k slots (``diag``), which
+    the callers handle separately, read 1.
     """
     np.multiply(g_rows, g_rows, out=out)
     out /= d[q0:q0 + len(out), None]

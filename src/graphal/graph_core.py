@@ -265,10 +265,6 @@ class LabelState:
             raise UsageError("node {} is not labeled", node)
         return float(self.labels[i])
 
-    def cross_term(self) -> np.ndarray:
-        """``L_ul @ y_l``, the labeled-to-unlabeled coupling vector."""
-        return self.lap.block(self.unlabeled, self.labeled) @ self.labels
-
 
 def _check_labels(labels: np.ndarray) -> np.ndarray:
     y = np.asarray(labels, dtype=float)

@@ -237,26 +237,6 @@ def _run_with_streams(
     return TrialRecord(kind=kind, seed=seed_tag, curve=curve, queries=tuple(queries))
 
 
-def run_trial(
-    dataset: Dataset,
-    kind: StrategyKind,
-    budget: int,
-    seed,
-    beta: float = 1.0,
-    ridge: float = 0.0,
-) -> TrialRecord:
-    """One full predict/query loop for one strategy under one seed.
-
-    The seed is split into independent (initial node, tie-break) streams;
-    the initial labeled node is uniform over all nodes.
-    """
-    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    init_ss, tie_ss = ss.spawn(2)
-    lap = build_laplacian(dataset.graph, beta=beta, ridge=ridge)
-    start = _start_state(dataset, lap, budget, init_ss)
-    return _run_with_streams(dataset, start, kind, budget, tie_ss, seed)
-
-
 @dataclass(frozen=True)
 class ExperimentResult:
     """Aggregated paired-trial curves for a set of strategies."""

@@ -20,6 +20,12 @@ with the incrementally maintained harmonic vector (all kinds; it is the
 prediction surface) and decision vector (tsa only).  Commits never
 re-invert: the closed-form lookahead update with the realized label *is*
 the maintenance step.
+
+One-vs-rest runs C of these binary rules over one shared partition and
+inverse, on the binary code: the harmonics are :func:`lp_harmonic` of an
+(|l|, C) label matrix, a commit is one :func:`downdate_inverse` followed by
+``_one_vs_rest``, and both session kinds roll their vectors by ``_roll``.
+Only the risk table has its own one-vs-rest sweep.
 """
 from __future__ import annotations
 
@@ -143,30 +149,23 @@ def next_query(session: BinarySession, rng: np.random.Generator | None = None) -
     return _choose(session.kind, session.state, risk_table, rng)
 
 
-def _drop_row(a: np.ndarray, i: int) -> np.ndarray:
-    """``a`` without row ``i``: ``np.delete(a, i, axis=0)`` by two slices."""
-    return np.concatenate((a[:i], a[i + 1:]))
+def _roll(state: LabelState, harmonic: np.ndarray, decisions, node: int, y):
+    """Selection's lookahead updates at the realized outcome, ``node``'s row
+    dropped: ``y`` is a label with vectors, or a length-C +/-1 vector with
+    (|u|, C) matrices.  ``decisions`` is None unless the kind is tsa."""
+    qi = state.u_index(node)
+    h = zlg_lookahead_harmonic(state, harmonic, node, y)
+    if decisions is not None:
+        f = tsa_lookahead_decisions(state, decisions, node, y)
+        decisions = np.concatenate((f[:qi], f[qi + 1:]))
+    return np.concatenate((h[:qi], h[qi + 1:])), decisions
 
 
 def update(session: BinarySession, node: int, label: float) -> BinarySession:
-    """Absorb an observed label: downdate the inverse, roll the vectors.
-
-    The maintained vectors are advanced by the same closed-form lookahead
-    updates used during selection, evaluated at the realized label, then
-    restricted to the surviving unlabeled nodes — no re-inversion.
-    """
-    state = session.state
-    qi = state.u_index(node)
-    h_next = _drop_row(zlg_lookahead_harmonic(state, session.harmonic, node, label), qi)
-    f_next = None
-    if session.decisions is not None:
-        f_next = _drop_row(tsa_lookahead_decisions(state, session.decisions, node, label), qi)
-    return replace(
-        session,
-        state=downdate_inverse(state, node, label),
-        harmonic=h_next,
-        decisions=f_next,
-    )
+    """Absorb an observed label: :func:`_roll` the vectors, then downdate
+    the inverse; no re-inversion."""
+    h, f = _roll(session.state, session.harmonic, session.decisions, node, label)
+    return replace(session, state=downdate_inverse(session.state, node, label), harmonic=h, decisions=f)
 
 
 def _node_index(nodes: tuple[int, ...]) -> np.ndarray:
@@ -225,52 +224,44 @@ class MulticlassState:
         return self.states[0].n
 
 
+def _one_vs_rest(base: LabelState, classes: np.ndarray, class_count: int) -> MulticlassState:
+    """Run c labels +1 where ``classes == c``, -1 elsewhere, over ``base``'s
+    partition and inverse (the same objects in every run)."""
+    labels = np.where(classes == np.arange(class_count)[:, None], 1.0, -1.0)  # row c: run c
+    labels.setflags(write=False)
+    runs = (LabelState(base.lap, base.labeled, y, base.unlabeled, base.inverse) for y in labels)
+    return MulticlassState(class_count, tuple(runs))
+
+
 def init_multiclass(lap: Laplacian, nodes, classes, class_count: int) -> MulticlassState:
     """One-vs-rest setup: class c's run labels node v +1 iff class(v) == c."""
     nodes = [int(v) for v in nodes]
-    classes = [int(c) for c in classes]
+    classes = np.array([int(c) for c in classes], dtype=int)
     if len(nodes) != len(classes):
         raise UsageError("nodes and classes must align")
-    if any(c < 0 or c >= class_count for c in classes):
+    if np.any((classes < 0) | (classes >= class_count)):
         raise UsageError(f"class ids must lie in 0..{class_count - 1}")
     order = np.argsort(nodes)
-    nodes = [nodes[i] for i in order]
-    classes = [classes[i] for i in order]
-    first = init_label_state(lap, nodes, [1.0 if c == 0 else -1.0 for c in classes])
-    states = [first]
-    for cls in range(1, class_count):
-        y = np.array([1.0 if c == cls else -1.0 for c in classes])
-        y.setflags(write=False)
-        states.append(replace(first, labels=y))
-    return MulticlassState(class_count=class_count, states=tuple(states))
+    classes = classes[order]
+    base = init_label_state(lap, [nodes[i] for i in order], np.where(classes == 0, 1.0, -1.0))
+    return _one_vs_rest(base, classes, class_count)
 
 
 def multiclass_update(mstate: MulticlassState, node: int, observed_class: int) -> MulticlassState:
     """Absorb one observed class across all one-vs-rest runs.
 
     The inverse downdate is identical for every run (labels do not enter
-    it), so it is computed once and shared.
+    it), so it is computed once; ``_one_vs_rest`` relabels the runs with
+    the observed class inserted in node order.
     """
     if not 0 <= observed_class < mstate.class_count:
         raise UsageError(f"class id {observed_class} out of range")
     old = mstate.states[0]
     pos = bisect.bisect_left(old.labeled, node)
     base = downdate_inverse(old, node, 1.0 if observed_class == 0 else -1.0)
-    states = [base]
-    for cls in range(1, mstate.class_count):
-        old_y = mstate.states[cls].labels
-        y = np.concatenate((old_y[:pos], (1.0 if observed_class == cls else -1.0,), old_y[pos:]))
-        y.setflags(write=False)
-        states.append(
-            LabelState(
-                lap=base.lap,
-                labeled=base.labeled,
-                labels=y,
-                unlabeled=base.unlabeled,
-                inverse=base.inverse,
-            )
-        )
-    return MulticlassState(class_count=mstate.class_count, states=tuple(states))
+    classes = np.argmax(_class_label_matrix(mstate), axis=1)
+    classes = np.concatenate((classes[:pos], (observed_class,), classes[pos:]))
+    return _one_vs_rest(base, classes, mstate.class_count)
 
 
 @dataclass(frozen=True)
@@ -300,20 +291,13 @@ def _class_label_matrix(mstate: MulticlassState) -> np.ndarray:
 
 def multiclass_harmonics(mstate: MulticlassState) -> np.ndarray:
     """Per-class harmonic values, (|u|, C), one shared solve."""
-    base = mstate.states[0]
-    m = len(base.unlabeled)
-    if m == 0:
-        return np.zeros((0, mstate.class_count))
-    cross = base.lap.block(base.unlabeled, base.labeled) @ _class_label_matrix(mstate)
-    return -(base.inverse @ cross)
+    return lp_harmonic(mstate.states[0], _class_label_matrix(mstate))
 
 
 def multiclass_decisions(mstate: MulticlassState, h: np.ndarray | None = None) -> np.ndarray:
     """Per-class decision values 2 h^c / G_kk, (|u|, C), from ``h`` if given."""
     if h is None:
         h = multiclass_harmonics(mstate)
-    if h.shape[0] == 0:
-        return h
     return 2.0 * h / np.diag(mstate.states[0].inverse)[:, None]
 
 
@@ -524,22 +508,12 @@ def next_query_multiclass(
 def update_multiclass(
     session: MulticlassSession, node: int, observed_class: int
 ) -> MulticlassSession:
-    """Absorb an observed class; per-class vectors roll by the same
-    closed-form updates as selection, at the realized outcome."""
+    """Absorb an observed class: :func:`_roll` the per-class vectors at the
+    outcome (+1 in its class's column), then :func:`multiclass_update`."""
     mstate = session.mstate
-    state = mstate.states[0]
-    qi = state.u_index(node)
     y = np.where(np.arange(mstate.class_count) == observed_class, 1.0, -1.0)
-    h_next = _drop_row(zlg_lookahead_harmonic(state, session.harmonics, node, y), qi)
-    f_next = None
-    if session.decisions is not None:
-        f_next = _drop_row(tsa_lookahead_decisions(state, session.decisions, node, y), qi)
-    return MulticlassSession(
-        kind=session.kind,
-        mstate=multiclass_update(mstate, node, observed_class),
-        harmonics=h_next,
-        decisions=f_next,
-    )
+    h, f = _roll(mstate.states[0], session.harmonics, session.decisions, node, y)
+    return replace(session, mstate=multiclass_update(mstate, node, observed_class), harmonics=h, decisions=f)
 
 
 def predict_multiclass(session: MulticlassSession) -> np.ndarray:
@@ -550,8 +524,7 @@ def predict_multiclass(session: MulticlassSession) -> np.ndarray:
     """
     mstate = session.mstate
     out = np.empty(mstate.n, dtype=int)
-    label_mat = _class_label_matrix(mstate)
-    out[_node_index(mstate.labeled)] = np.argmax(label_mat, axis=1)
+    out[_node_index(mstate.labeled)] = np.argmax(_class_label_matrix(mstate), axis=1)
     if mstate.unlabeled:
         h = session.harmonics
         top = h.max(axis=1, keepdims=True) - DEFAULT_TOLERANCES.prediction_tie

@@ -143,6 +143,8 @@ def test_degenerate_pivot_is_reported():
     with pytest.raises(DegeneracyError, match="candidate 1 at node 2"):
         tsa_risk_table(flat)
     with pytest.raises(DegeneracyError, match="candidate 1 at node 2"):
+        tsa_lookahead_decisions(flat, np.zeros(3), 1, 1.0)
+    with pytest.raises(DegeneracyError, match="candidate 1 at node 2"):
         multiclass_risk_table(MulticlassState(2, (flat, flat)), StrategyKind.TSA)
 
 

@@ -384,10 +384,11 @@ def test_label_and_index_lookups():
         state.u_index(1)
 
 
-def test_cross_term_is_coupling_vector():
+def test_coupling_block_gives_coupling_vector():
     state = init_label_state(build_laplacian(chain(4)), [0], [1.0])
     # only node 1 touches the labeled node; L_10 * y_0 = -1
-    assert np.array_equal(state.cross_term(), [-1.0, 0.0, 0.0])
+    coupling = state.lap.block(state.unlabeled, state.labeled) @ state.labels
+    assert np.array_equal(coupling, [-1.0, 0.0, 0.0])
 
 
 # --- edge-list parsing -----------------------------------------------------

@@ -13,7 +13,6 @@ from graphal.harness import (
     gen_jittered_grid,
     load_dataset,
     run_experiment,
-    run_trial,
     write_csv,
 )
 from graphal.selftest import random_connected_graph
@@ -169,9 +168,14 @@ def test_dataset_validation():
 # --- trials -------------------------------------------------------------------
 
 
+def trial(ds, kind, budget, seed, beta=1.0):
+    """One strategy's single trial, through the one trial driver."""
+    return run_experiment(ds, [kind], budget, 1, seed, beta=beta).records[0]
+
+
 def test_trial_budget_zero_records_initial_accuracy():
     ds = gen_chain(15, seed=3)
-    rec = run_trial(ds, StrategyKind.TSA, budget=0, seed=5)
+    rec = trial(ds, StrategyKind.TSA, budget=0, seed=5)
     assert rec.curve.shape == (1,)
     assert 0.0 <= rec.curve[0] <= 1.0
     assert rec.queries == ()
@@ -179,7 +183,7 @@ def test_trial_budget_zero_records_initial_accuracy():
 
 def test_trial_full_budget_reaches_perfect_accuracy():
     ds = gen_chain(15, seed=3)
-    rec = run_trial(ds, StrategyKind.TSA, budget=14, seed=5)
+    rec = trial(ds, StrategyKind.TSA, budget=14, seed=5)
     assert rec.curve.shape == (15,)
     assert rec.curve[-1] == 1.0
     assert len(set(rec.queries)) == 14  # no node queried twice
@@ -189,13 +193,13 @@ def test_trial_full_budget_reaches_perfect_accuracy():
 def test_trial_budget_bounds():
     ds = gen_chain(5, seed=0)
     with pytest.raises(UsageError):
-        run_trial(ds, StrategyKind.TSA, budget=5, seed=0)
+        trial(ds, StrategyKind.TSA, budget=5, seed=0)
 
 
 @pytest.mark.parametrize("kind", list(StrategyKind))
 def test_trial_runs_every_strategy(kind):
     ds = gen_chain(10, seed=1)
-    rec = run_trial(ds, kind, budget=4, seed=2)
+    rec = trial(ds, kind, budget=4, seed=2)
     assert rec.kind is kind
     assert rec.curve.shape == (5,)
 
@@ -206,7 +210,7 @@ def test_trial_multiclass_dataset(tmp_path):
     l = tmp_path / "m.labels"
     l.write_text("1 0\n2 0\n3 1\n4 1\n5 2\n6 2\n")
     ds = load_dataset(e, l)
-    rec = run_trial(ds, StrategyKind.TSA, budget=5, seed=0)
+    rec = trial(ds, StrategyKind.TSA, budget=5, seed=0)
     assert rec.curve[-1] == 1.0  # 1 seed + 5 queries = all 6 nodes observed
 
 
@@ -214,16 +218,16 @@ def test_trial_guards_are_scale_free():
     # G scales as 1/beta; guards relative to max diag(G) must not fire at beta=1e12
     ds = gen_chain(10, seed=5)
     for beta in (1.0, 1e12):
-        assert run_trial(ds, StrategyKind.TSA, 9, seed=3, beta=beta).curve[-1] == 1.0
+        assert trial(ds, StrategyKind.TSA, 9, seed=3, beta=beta).curve[-1] == 1.0
     # harmonic values do not depend on beta, so neither do zlg's queries
-    zlg = [run_trial(ds, StrategyKind.ZLG, 9, seed=3, beta=beta).queries for beta in (1.0, 1e12)]
+    zlg = [trial(ds, StrategyKind.ZLG, 9, seed=3, beta=beta).queries for beta in (1.0, 1e12)]
     assert zlg[0] == zlg[1]
 
 
 def test_trial_is_reproducible():
     ds = gen_chain(12, seed=9)
-    a = run_trial(ds, StrategyKind.RANDOM, budget=6, seed=42)
-    b = run_trial(ds, StrategyKind.RANDOM, budget=6, seed=42)
+    a = trial(ds, StrategyKind.RANDOM, budget=6, seed=42)
+    b = trial(ds, StrategyKind.RANDOM, budget=6, seed=42)
     assert a.queries == b.queries
     assert np.array_equal(a.curve, b.curve)
 
@@ -231,7 +235,7 @@ def test_trial_is_reproducible():
 # --- experiments ----------------------------------------------------------------
 
 
-def test_experiment_single_trial_reduces_to_run_trial():
+def test_experiment_single_trial_has_one_curve_and_zero_stderr():
     res = run_experiment(TOY_GENERATORS["chain15"], [StrategyKind.ZLG], 6, 1, 11)
     assert res.curves[StrategyKind.ZLG].shape == (1, 7)
     assert np.array_equal(res.stderr(StrategyKind.ZLG), np.zeros(7))

@@ -474,6 +474,32 @@ def test_multiclass_session_vectors_stay_in_sync():
     assert np.max(np.abs(session.decisions - multiclass_decisions(session.mstate))) <= 1e-9
 
 
+def test_one_vs_rest_invariants_hold_through_commits():
+    rng = np.random.default_rng(14)
+    graph = random_connected_graph(rng, n_max=40, n_min=40)
+    truth = rng.integers(3, size=graph.n)
+    lap = build_laplacian(graph)
+    session = start_multiclass(init_multiclass(lap, [7], [truth[7]], 3), StrategyKind.TSA)
+    for _ in range(5):
+        q = next_query_multiclass(session, rng)
+        session = update_multiclass(session, q, int(truth[q]))
+        states = session.mstate.states
+        for st in states:
+            assert st.inverse is states[0].inverse
+            assert st.labeled is states[0].labeled
+        labeled = list(session.mstate.labeled)
+        one_hot = np.where(truth[labeled][:, None] == np.arange(3), 1.0, -1.0)
+        assert np.array_equal(np.column_stack([st.labels for st in states]), one_hot)
+        assert np.array_equal(predict_multiclass(session)[labeled], truth[labeled])
+    assert len(session.mstate.labeled) == 6
+
+    # every node labeled: no unlabeled rows, but still C columns
+    full = init_multiclass(lap, range(graph.n), truth, 3)
+    session = start_multiclass(full, StrategyKind.TSA)
+    assert session.harmonics.shape == (0, 3)
+    assert session.decisions.shape == (0, 3)
+
+
 @pytest.mark.parametrize("kind", [StrategyKind.VOPT, StrategyKind.SOPT, StrategyKind.RANDOM])
 def test_multiclass_geometry_strategies_run(kind):
     session = start_multiclass(triangle_mstate(), kind)
