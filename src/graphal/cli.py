@@ -149,7 +149,7 @@ def cmd_selftest(args) -> int:
     """Run the oracle-equivalence checks; nonzero exit on any failure."""
     from .selftest import format_report, run_selftest
 
-    results = run_selftest(seed=args.seed, graphs=args.graphs, perturb=args.perturb)
+    results = run_selftest(seed=args.seed, graphs=args.graphs)
     print(format_report(results))
     return 0 if all(r.passed for r in results) else 1
 
@@ -190,7 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("selftest", help="oracle-equivalence checks on random graphs")
     p.add_argument("--seed", type=int, default=0, help="corpus seed")
     p.add_argument("--graphs", type=int, default=50, help="graphs per check")
-    p.add_argument("--perturb", type=float, default=0.0, help="bias injected into the fast routes (forces failure)")
     p.set_defaults(func=cmd_selftest)
     return parser
 

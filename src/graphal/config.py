@@ -23,7 +23,6 @@ class Tolerances:
         or of the row maximum (one-vs-rest; lowest class wins) are ties.
         Exact ties carry ~1e-15 of rounding noise; ``h`` lies in [-1, 1]
         whatever beta or the weight unit, so this is scale-free.
-    inverse_check: max-abs tolerance for the G @ L_uu == I debug check.
     saturation: decision values with |f| above this saturate the
         sigmoid to exactly 0 or 1.
     """
@@ -32,7 +31,6 @@ class Tolerances:
     singularity: float = 1e-12
     tie_relative: float = 1e-12
     prediction_tie: float = 1e-12
-    inverse_check: float = 1e-8
     saturation: float = 36.0
 
 

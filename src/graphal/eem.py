@@ -33,7 +33,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.special
 
-from .config import DEFAULT_ENUM_CAP, DEFAULT_TOLERANCES
+from .config import DEFAULT_TOLERANCES
 from .errors import DegeneracyError, UsageError
 from .graph_core import LabelState, downdate_inverse
 from .inference import (
@@ -116,21 +116,17 @@ def _branch_weights(kind: MarginalKind, value_q: float) -> tuple[float, float]:
     return wp, 1.0 - wp
 
 
-def lookahead_risk(
-    state: LabelState,
-    kind: MarginalKind,
-    q: int,
-    cap: int = DEFAULT_ENUM_CAP,
-) -> float:
+def lookahead_risk(state: LabelState, kind: MarginalKind, q: int) -> float:
     """Expected post-query risk for a single candidate, straight-line form.
 
     The TSA/ZLG branches use the closed-form updates above; the EXACT
     branch rebuilds the conditioned posterior by enumeration (slow, used
-    as ground truth in tests and the self-check suite).
+    as ground truth in tests and the self-check suite) under the
+    default enumeration cap.
     """
     n = state.n
     if kind is MarginalKind.EXACT:
-        base = exact_bmrf_marginals(state.lap, state.labeled, state.labels, cap=cap)
+        base = exact_bmrf_marginals(state.lap, state.labeled, state.labels)
         qi = base.nodes.index(q)
         wp = float(base.prob_plus[qi])
         risk = 0.0
@@ -138,7 +134,7 @@ def lookahead_risk(
             if w == 0.0:
                 continue
             cond = downdate_inverse(state, q, y)
-            after = exact_bmrf_marginals(cond.lap, cond.labeled, cond.labels, cap=cap)
+            after = exact_bmrf_marginals(cond.lap, cond.labeled, cond.labels)
             risk += w * float(np.minimum(after.prob_plus, 1.0 - after.prob_plus).sum() / n)
         return risk
 

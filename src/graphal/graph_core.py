@@ -259,12 +259,6 @@ class LabelState:
     def n(self) -> int:
         return self.lap.n
 
-    def label_of(self, node: int) -> float:
-        i = bisect.bisect_left(self.labeled, node)
-        if i == len(self.labeled) or self.labeled[i] != node:
-            raise UsageError("node {} is not labeled", node)
-        return float(self.labels[i])
-
 
 def _check_labels(labels: np.ndarray) -> np.ndarray:
     y = np.asarray(labels, dtype=float)
@@ -312,8 +306,11 @@ def init_label_state(lap: Laplacian, labeled, labels) -> LabelState:
     component has no labeled node (singular block) and no ridge was
     requested, and with a :class:`DegeneracyError` naming the node if
     ``L_uu`` is numerically not positive definite or ``diag(G)`` overflows.
+    The labeled nodes may come in any order; ``labels`` follows theirs.
     """
-    labeled = tuple(sorted(int(v) for v in labeled))
+    nodes = [int(v) for v in labeled]
+    order = np.argsort(nodes, kind="stable")
+    labeled = tuple(nodes[i] for i in order)
     if not labeled:
         raise InputError("need at least one labeled node")
     if len(set(labeled)) != len(labeled):
@@ -333,7 +330,7 @@ def init_label_state(lap: Laplacian, labeled, labels) -> LabelState:
     unlabeled = tuple(v for v in range(lap.n) if v not in lab_set)
     inv = _spd_block_inverse(lap, unlabeled)
     inv.setflags(write=False)
-    y = y.copy()
+    y = y[order]
     y.setflags(write=False)
     return LabelState(lap=lap, labeled=labeled, labels=y, unlabeled=unlabeled, inverse=inv)
 

@@ -154,11 +154,12 @@ def _label_row_fault(line: str, parts: list[str], seen: set, n: int) -> str | No
     return None
 
 
-def load_dataset(edge_path, label_path, name: str | None = None) -> Dataset:
+def load_dataset(edge_path, label_path) -> Dataset:
     """Read a dataset from an edge-list file and a `node_id class_id` file.
 
     Node ids are 1-based in both files.  Every graph node must receive
-    exactly one class; class ids must be dense 0..C-1 with C >= 2.
+    exactly one class; class ids must be dense 0..C-1 with C >= 2.  The
+    dataset is named after the edge file.
     """
     graph = read_edge_list(edge_path)
     label_path = str(label_path)
@@ -179,11 +180,7 @@ def load_dataset(edge_path, label_path, name: str | None = None) -> Dataset:
     absent = sorted(set(range(class_count)) - set(int(c) for c in classes))
     if absent:
         raise ParseError(label_path, last_line, f"class ids not contiguous: {absent[0]} missing")
-    if class_count < 2:
-        raise InputError("dataset needs at least 2 classes")
-    if name is None:
-        name = str(edge_path)
-    return Dataset(name=name, graph=graph, labels=classes, class_count=class_count)
+    return Dataset(name=str(edge_path), graph=graph, labels=classes, class_count=class_count)
 
 
 def _binary_truth(dataset: Dataset) -> np.ndarray:

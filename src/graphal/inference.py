@@ -86,20 +86,19 @@ def _saturating_tail(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     return _logistic_tail(x, out=out)
 
 
-def sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def sigmoid(z: np.ndarray) -> np.ndarray:
     """Logistic function, saturating to exact 0/1 past +/-36.
 
     Beyond the clamp the float64 logistic is within 2e-16 of the limit
     anyway; snapping makes downstream min(p, 1-p) risks exactly zero
-    instead of trailing noise.  ``out``, an array shaped like ``z`` (it may
-    be ``z`` itself), receives the result in place.
+    instead of trailing noise.
 
     Evaluated by :func:`_saturating_tail` on ``-z``.  The values differ
     from ``scipy.special.expit`` by a few ULP; the query choices built on
     them do not (``lookahead_risk`` keeps ``expit`` as the reference).
     """
     z = np.asarray(z, dtype=float)
-    x = np.negative(z, out=np.empty_like(z) if out is None else out)
+    x = np.negative(z, out=np.empty_like(z))  # an array even for 0-d ``z``
     _saturating_tail(x, out=x)
     return x[()] if x.ndim == 0 else x
 
@@ -166,8 +165,10 @@ def exact_bmrf_marginals(
     Deliberately independent of :class:`LabelState`'s maintained inverse:
     this is the ground truth the fast paths are tested against.
     """
-    labeled = tuple(sorted(int(v) for v in labeled))
-    y = np.asarray(labels, dtype=float)
+    nodes = [int(v) for v in labeled]
+    order = np.argsort(nodes, kind="stable")
+    labeled = tuple(nodes[i] for i in order)
+    y = np.asarray(labels, dtype=float)[order]
     unlabeled = tuple(v for v in range(lap.n) if v not in set(labeled))
     m = len(unlabeled)
     if m > cap:

@@ -1,7 +1,10 @@
 """Command-line behavior: parsing, conversions, outputs, exit codes."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from graphal import selftest
 from graphal.cli import main
 
 
@@ -44,6 +47,16 @@ def test_marginals_csv_output(tmp_path, capsys):
     assert node == "3"
     assert abs(float(tsa) - 0.5) <= 1e-12  # midpoint of a symmetric chain
     assert abs(float(lp)) <= 1e-12
+
+
+def test_marginals_table_does_not_depend_on_label_order(capsys):
+    tables = [
+        run(capsys, "marginals", "--chain", "4", "--labels", spec, "--methods", "tsa,zlg,lp,exact")
+        for spec in ("4:+1,1:-1", "1:-1,4:+1")
+    ]
+    assert tables[0] == tables[1]
+    rows = dict(line.split(None, 1) for line in tables[0][1].splitlines()[1:])
+    assert rows["2"].split()[2] == "-0.333333"  # node 2 neighbours node 1, labeled -1
 
 
 def test_marginals_rejects_oversized_enumeration(capsys):
@@ -214,7 +227,15 @@ def test_selftest_passes_and_reports(capsys):
     assert "downdate-equivalence" in out
 
 
-def test_selftest_perturbation_forces_failure(capsys):
-    code, out, _ = run(capsys, "selftest", "--graphs", "3", "--perturb", "1e-3")
+@pytest.mark.parametrize("bias", [1e-3, np.nan], ids=["bias", "nan"])
+def test_selftest_perturbation_forces_failure(capsys, monkeypatch, bias):
+    downdate = selftest.downdate_inverse
+
+    def off_downdate(state, k, y):
+        fast = downdate(state, k, y)
+        return replace(fast, inverse=fast.inverse + bias)
+
+    monkeypatch.setattr(selftest, "downdate_inverse", off_downdate)
+    code, out, _ = run(capsys, "selftest", "--graphs", "3")
     assert code == 1
     assert "FAIL" in out

@@ -375,11 +375,10 @@ def test_state_arrays_are_read_only():
 
 
 def test_label_and_index_lookups():
-    state = init_label_state(build_laplacian(chain(5)), [1, 3], [1.0, -1.0])
-    assert state.label_of(3) == -1.0
+    state = init_label_state(build_laplacian(chain(5)), [3, 1], [-1.0, 1.0])
+    assert state.labeled == (1, 3)
+    assert state.labels.tolist() == [1.0, -1.0]
     assert state.u_index(4) == 2
-    with pytest.raises(UsageError):
-        state.label_of(0)
     with pytest.raises(UsageError):
         state.u_index(1)
 

@@ -85,24 +85,24 @@ def test_sigmoid_and_tsa_tail_agree_with_expit_within_a_few_ulp():
     assert _logistic_tail(np.array([710.0, np.inf]), np.empty(2)).tolist() == [0.0, 0.0]
 
 
-def test_sigmoid_zero_d_input_and_aliased_out():
+def test_sigmoid_zero_d_input_and_input_left_unchanged():
     for z in (0.0, np.float64(-0.5), np.array(3.0)):
         p = sigmoid(z)
         assert isinstance(p, np.float64)
         assert_within_ulps(np.array([p]), scipy.special.expit(np.array([z], dtype=float)))
     assert sigmoid(np.array(-40.0)) == 0.0
     z = np.array([[-40.0, -1.5, 0.0], [2.0, 36.5, np.nan]])
-    expected = sigmoid(z.copy())
-    out = sigmoid(z, out=z)
-    assert out is z
-    assert np.array_equal(z, expected, equal_nan=True)
-    assert z[0, 0] == 0.0 and z[1, 1] == 1.0  # the snap still reads the input
+    before = z.copy()
+    out = sigmoid(z)
+    assert out is not z
+    assert np.array_equal(z, before, equal_nan=True)
+    assert out[0, 0] == 0.0 and out[1, 1] == 1.0
 
 
-def always_masked_sigmoid(z, out=None):
+def always_masked_sigmoid(z):
     """Reference: the snap as two masked ``copyto`` calls on every input."""
     z = np.asarray(z, dtype=float)
-    x = np.negative(z, out=np.empty_like(z) if out is None else out)
+    x = np.negative(z, out=np.empty_like(z))
     sat = DEFAULT_TOLERANCES.saturation
     np.copyto(x, np.inf, where=x > sat)
     np.copyto(x, -np.inf, where=x < -sat)
@@ -127,14 +127,10 @@ SNAP_CASES = {
 @pytest.mark.parametrize("z", SNAP_CASES.values(), ids=SNAP_CASES.keys())
 def test_sigmoid_snaps_bitwise_like_the_always_masked_form(z):
     expected = always_masked_sigmoid(z.copy())
-    assert np.array_equal(sigmoid(z.copy()), expected, equal_nan=True)
-    alias = z.copy()
-    out = sigmoid(alias, out=alias)
-    assert np.array_equal(alias, expected, equal_nan=True)
-    if z.ndim:
-        assert out is alias
-    else:
-        assert isinstance(out, np.float64) and np.array_equal(out, expected)
+    out = sigmoid(z.copy())
+    assert np.array_equal(out, expected, equal_nan=True)
+    if not z.ndim:
+        assert isinstance(out, np.float64)
 
 
 def test_logistic_kernels_raise_no_warning():

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from graphal import graph_core
 from graphal.cli import main
-from graphal.config import DEFAULT_TOLERANCES
 from graphal.errors import DegeneracyError
 from graphal.graph_core import build_laplacian, dense_laplacian, graph_from_edges, init_label_state, inverse_residual
 
@@ -66,7 +65,7 @@ def test_inverse_is_symmetric_contiguous_and_matches_the_reference(case):
     assert g.shape == (len(state.unlabeled),) * 2
     assert np.array_equal(g, g.T)
     assert g.flags.c_contiguous
-    assert inverse_residual(state) <= DEFAULT_TOLERANCES.inverse_check
+    assert inverse_residual(state) <= 1e-8
     if g.size:
         ref = reference_inverse(lap, state.unlabeled)
         assert np.max(np.abs(g - ref)) <= 1e-12 * g.diagonal().max()
