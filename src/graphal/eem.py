@@ -22,6 +22,17 @@ per-node risk ``min(p, 1-p) = 1 / (1 + exp|f+|)`` comes from
 ``sigmoid``; its bits differ from ``scipy.special.expit`` by a few ULP, the
 choices made from it do not.
 
+The tsa selection needs only the minimizer, and a candidate's risk is a sum
+of nonnegative per-node terms, so a partial sum is a lower bound.
+:func:`tsa_survivors` sums each candidate's terms over the nodes in
+descending order of current risk, a chunk of nodes at a time, scores
+exactly the candidate with the smallest bound after each chunk, and drops
+every candidate whose bound exceeds that best score plus the tie tolerance
+(lazy evaluation, Minoux 1978).  Only the survivors get exact rows.  A term
+of the sweep is the same float operations on the same operands as the
+table's term, so only ``exp`` (a different kernel may differ by a few ULP)
+and the order of the additions differ; ``ROUNDING_MARGIN`` covers both.
+
 ``lookahead_risk`` is the plain per-candidate form of the same quantity,
 kept around as the readable reference the tables are tested against (its
 tsa branch still calls ``scipy.special.expit``); with
@@ -48,6 +59,12 @@ from .inference import (
 
 BLOCK = 192  # candidate rows per block at most, divided by C one-vs-rest
 BLOCK_CELLS = 36_000  # cells per scratch slab: caps the rows so blocks stay in cache
+SWEEP_COLUMNS = 24  # nodes in the bound sweep's first chunk; fewer once |u| * 24 > BLOCK_CELLS
+SWEEP_BUDGET = 0.5  # bound-sweep cells, as a share of the |u|^2 table, after which the sweep stops
+# Relative slack on the pruning cutoff.  A bound and the exact entry sum the
+# same terms, up to a few ULP of ``exp`` each, in different orders; each sum is
+# within (|u| - 1) eps of the exact real sum, so the slack holds for |u| < 4e6.
+ROUNDING_MARGIN = 1e-9
 
 
 def zero_one_risk(marginals: Marginals, n: int) -> float:
@@ -77,10 +94,10 @@ def tsa_lookahead_decisions(state: LabelState, f: np.ndarray, q: int, y) -> np.n
     qi = state.u_index(q)
     g = state.inverse
     d = np.diag(g)
-    if d[qi] <= state.singular_floor:
+    if not d[qi] > state.singular_floor:  # a NaN fails too
         raise DegeneracyError(f"inverse diagonal at node {{}} is {d[qi]:.3e}", q)
     col = g[:, qi]
-    denom = lookahead_denominators(state, d, col[None, :], qi, (0, qi), np.empty((1, d.size)))[0]
+    denom = lookahead_denominators(state, d, col[None, :], ([0], [qi]), np.empty((1, d.size)))[0]
     if f.ndim == 2:
         d, col, denom = d[:, None], col[:, None], denom[:, None]
     fp = (d * f + (2.0 * y / d[qi] - f[qi]) * col) / denom
@@ -97,7 +114,7 @@ def zlg_lookahead_harmonic(state: LabelState, h: np.ndarray, q: int, y) -> np.nd
     """
     qi = state.u_index(q)
     g = state.inverse
-    if g[qi, qi] <= state.singular_floor:
+    if not g[qi, qi] > state.singular_floor:
         raise DegeneracyError(f"inverse diagonal at node {{}} is {g[qi, qi]:.3e}", q)
     ratio = g[:, qi] / g[qi, qi]
     if h.ndim == 2:
@@ -164,82 +181,237 @@ def block_rows(m: int, classes: int = 1) -> int:
     return min(m, max(1, min(BLOCK // classes, BLOCK_CELLS // m)))
 
 
-def candidate_blocks(m: int, slabs: int, classes: int = 1):
-    """Sweep ``m`` candidates in row blocks of :func:`block_rows`.
+def candidate_blocks(m: int, slabs: int, classes: int = 1, candidates: np.ndarray | None = None):
+    """Sweep the ``m`` candidates, or the positions ``candidates``, in row
+    blocks of :func:`block_rows` of ``m``.
 
-    Yields ``(q0, q1, diag, scratch)``: candidates ``q0:q1``, the index pair
-    of their q == k entries in a (rows, |u|) block, and ``slabs`` contiguous
-    (rows, |u|) scratch slabs, all carved from one allocation per sweep
-    (contents are garbage).
+    Yields ``(out, rows, diag, scratch)``: the block's slice ``out`` of the
+    result, its candidates' positions ``rows`` (``out`` itself when all
+    ``m`` are swept), the index pair of their q == k entries in a
+    (rows, |u|) block, and ``slabs`` contiguous (rows, |u|) scratch slabs,
+    all carved from one allocation per sweep (contents are garbage).
     """
+    count = m if candidates is None else len(candidates)
     step = block_rows(m, classes)
-    work = np.empty((slabs, step, m))
-    for q0 in range(0, m, step):
-        q1 = min(q0 + step, m)
-        yield q0, q1, (np.arange(q1 - q0), np.arange(q0, q1)), work[:, :q1 - q0]
+    work = np.empty((slabs, min(step, count), m))
+    for q0 in range(0, count, step):
+        out = slice(q0, min(q0 + step, count))
+        rows = out if candidates is None else candidates[out]
+        qs = np.arange(out.start, out.stop) if candidates is None else rows
+        yield out, rows, (np.arange(len(qs)), qs), work[:, :len(qs)]
 
 
-def lookahead_denominators(state: LabelState, d, g_rows, q0: int, diag, out) -> np.ndarray:
-    """``G_kk - G_qk^2 / G_qq`` for candidates ``q0, q0 + 1, ...``, into ``out``.
+def _denominators(g_qk, d_q, d_k, certain, out) -> np.ndarray:
+    """``d_k - g_qk^2 / d_q`` into ``out``, and 1 at the q == k slots ``certain``.
 
-    ``g_rows[i]`` holds ``G_qk`` over k for candidate ``q0 + i``: row q of
-    ``G`` for the binary tables, column q for the one-vs-rest sweep and for
-    :func:`tsa_lookahead_decisions` (after downdates ``G`` is symmetric only
-    to rounding).  ``d`` is ``diag(G)``.  The q == k slots (``diag``), which
-    the callers handle separately, read 1.
+    The one copy of the denominator arithmetic: the tables pass candidate-
+    major blocks, :func:`tsa_survivors` node-major chunks, each operand
+    broadcast to ``out``'s shape, so an entry is the same float operations
+    on the same operands in either layout.
     """
-    np.multiply(g_rows, g_rows, out=out)
-    out /= d[q0:q0 + len(out), None]
-    np.subtract(d, out, out=out)
-    out[diag] = 1.0
-    if out.min() <= state.singular_floor:
+    np.multiply(g_qk, g_qk, out=out)
+    out /= d_q
+    np.subtract(d_k, out, out=out)
+    out[certain] = 1.0
+    return out
+
+
+def lookahead_denominators(state: LabelState, d, g_rows, diag, out) -> np.ndarray:
+    """``G_kk - G_qk^2 / G_qq`` for the candidates ``diag[1]``, into ``out``.
+
+    ``g_rows[i]`` holds ``G_qk`` over k for candidate ``diag[1][i]``: row q
+    of ``G`` for the binary tables, column q for the one-vs-rest sweep and
+    for :func:`tsa_lookahead_decisions` (after downdates ``G`` is symmetric
+    only to rounding).  ``d`` is ``diag(G)``.  The q == k slots (``diag``),
+    which the callers handle separately, read 1.  An entry at or below
+    ``singular_floor``, or a NaN, raises naming the first such entry.
+    """
+    qs = diag[1]
+    _denominators(g_rows, d[qs, None], d, diag, out)
+    if not out.min() > state.singular_floor:
         qi, ki = np.unravel_index(int(np.argmin(out)), out.shape)
         raise DegeneracyError(
             "lookahead denominator vanished for candidate {} at node {}",
-            state.unlabeled[q0 + qi],
+            state.unlabeled[qs[qi]],
             state.unlabeled[ki],
         )
     return out
 
 
-def tsa_risk_table(state: LabelState, f: np.ndarray | None = None) -> np.ndarray:
+def _tsa_coefficients(d: np.ndarray, f: np.ndarray) -> tuple:
+    """``(a, b_plus, b_minus, w_plus)`` of the tsa table (see :func:`tsa_risk_table`)."""
+    return d * f, 2.0 / d - f, -2.0 / d - f, sigmoid(f)
+
+
+def _branch_terms(g_qk, b_q, a_k, denom, certain, out) -> np.ndarray:
+    """Node k's risk ``min(p, 1 - p) = sigmoid(-|f+_k|)`` after candidate q
+    answers, ``f+_k = (a_k + b_q g_qk) / denom``, into ``out``; 0 at the
+    q == k slots ``certain`` (the just-queried node is certain).
+
+    The one copy of the branch-term arithmetic, for both layouts (see
+    :func:`_denominators`).
+    """
+    np.multiply(g_qk, b_q, out=out)
+    out += a_k
+    out /= denom
+    np.abs(out, out=out)
+    _logistic_tail(out, out=out)
+    out[certain] = 0.0
+    return out
+
+
+def _tsa_rows(state: LabelState, d, coeffs, candidates: np.ndarray | None = None) -> np.ndarray:
+    """The tsa table's entries at the positions ``candidates`` (all when None).
+
+    ``d`` is the checked diagonal and ``coeffs`` :func:`_tsa_coefficients`.
+    Every entry is the same float operations on the same operands whatever
+    the block layout, so a subset is bitwise the full table's entries.
+    Candidate rows of ``G`` are gathered into the numerator slab, once for
+    the denominators and once per branch, so a subset needs no third slab.
+    """
+    m = len(state.unlabeled)
+    g = state.inverse
+    a, b_plus, b_minus, w_plus = coeffs
+    count = m if candidates is None else len(candidates)
+    risk_plus = np.empty(count)
+    risk_minus = np.empty(count)
+
+    def g_rows(rows, into):
+        # "wrap" writes ``into`` unbuffered and reads a negative position
+        # as numpy indexing does everywhere else here.
+        return g[rows] if candidates is None else np.take(g, rows, axis=0, out=into, mode="wrap")
+
+    for out, rows, diag, (denom, num) in candidate_blocks(m, 2, candidates=candidates):
+        lookahead_denominators(state, d, g_rows(rows, num), diag, denom)
+        for coeff, out_vec in ((b_plus, risk_plus), (b_minus, risk_minus)):
+            _branch_terms(g_rows(rows, num), coeff[rows, None], a[None, :], denom, diag, out=num)
+            np.sum(num, axis=1, out=out_vec[out])
+
+    if candidates is not None:
+        w_plus = w_plus[candidates]
+    return (w_plus * risk_plus + (1.0 - w_plus) * risk_minus) * (1.0 / state.n)
+
+
+def tsa_risk_table(
+    state: LabelState, f: np.ndarray | None = None, candidates: np.ndarray | None = None
+) -> np.ndarray:
     """Expected post-query risk of every unlabeled candidate (TSA route).
 
     Vectorizes the closed-form decision-value update over all (q, k) pairs:
     the denominator ``G_kk - G_qk^2/G_qq`` is shared by both label branches,
     and the numerator is ``G_kk f_k + b_y(q) G_qk`` with a per-candidate
     coefficient ``b_y(q) = 2y/G_qq - f_q``.  Candidate q reads row q of
-    ``G``, swept in blocks by :func:`candidate_blocks`.
+    ``G``, swept in blocks by :func:`candidate_blocks`.  With
+    ``candidates``, an index array of positions in ``state.unlabeled``, only
+    those entries are computed, each bitwise equal to the full table's (a
+    negative position counts from the end, one at or past |u| raises
+    ``IndexError``, as in numpy indexing).
     """
     m = len(state.unlabeled)
     if m == 0:
         return np.zeros(0)
-    g = state.inverse
     d = state.checked_diagonal()
     if f is None:
         f = tsa_marginals(state).values
+    return _tsa_rows(state, d, _tsa_coefficients(d, f), candidates)
 
-    a = d * f  # = 2 h, the diagonal-free part of the numerator
-    b_plus = 2.0 / d - f
-    b_minus = -2.0 / d - f
+
+def tsa_survivors(state: LabelState, f: np.ndarray) -> np.ndarray | None:
+    """Positions of the candidates whose exact tsa risk may tie the minimum.
+
+    Returns None where pruning is not tried: a table of one block (the
+    sweep would cost as much as the table) and coefficients that are not
+    all finite.  Otherwise:
+
+    1. Guard: every lookahead denominator is checked in the table's own
+       block order, so a degenerate state raises exactly what
+       :func:`tsa_risk_table` raises.  The same pass keeps the first
+       chunk's denominators for the bounds.
+    2. Bounds: nodes k are taken in descending order of current risk
+       ``1 / (1 + exp|f_k|)``, in chunks of ``width * |u|`` cells, ``width =
+       min(SWEEP_COLUMNS, BLOCK_CELLS // |u|)``: ``width`` nodes while every
+       candidate is live, more as candidates drop, so the per-chunk work
+       stays large next to its fixed cost.  Each live candidate adds both
+       branch terms of the table at those k (the q == k term is 0, as in
+       the table) through the table's own :func:`_denominators` and
+       :func:`_branch_terms`, so each term is the same float operations on
+       the same operands.
+    3. After each chunk the live candidate with the smallest bound is
+       scored exactly by the table's row kernel; the smallest such score is
+       ``best``.  A candidate whose bound (or exact score) exceeds
+       ``(best + tie_relative * max(1, |best|)) * (1 + ROUNDING_MARGIN)``
+       is dropped: its exact risk lies above the minimum plus the tie
+       tolerance, so it is neither the minimizer nor tied with it.
+    4. The sweep stops once at most ``width`` unscored candidates are live,
+       every node is summed, or it has spent ``SWEEP_BUDGET`` of the table's
+       cells.  A sweep cell costs about two table cells (it gathers
+       ``G[q, k]`` down columns), so a select where nothing prunes costs
+       about two tables.
+
+    The survivors are the live candidates, scored ones included.
+    """
+    m = len(state.unlabeled)
+    if block_rows(m) == m:
+        return None
+    g = state.inverse
+    d = state.checked_diagonal()
+    coeffs = a, b_plus, b_minus, w_plus = _tsa_coefficients(d, f)
+    if not all(np.isfinite(v).all() for v in coeffs[:3]):
+        return None  # a NaN term could hide in an unswept node; the table shows it
+    order = np.argsort(-_logistic_tail(np.abs(f), out=np.empty(m)), kind="stable")
+    width = min(SWEEP_COLUMNS, max(1, BLOCK_CELLS // m))
+    rank = np.empty(m, dtype=np.intp)
+    rank[order] = np.arange(m)
+
+    # Chunk scratch, node-major: row j holds node cols[j]'s entries of the
+    # live candidates, so every pass runs along the long candidate axis.
+    gk_buf, den_buf, t_buf = np.empty((3, width * m))
+    idx_buf = np.empty(width * m, dtype=np.intp)
+    cols = order[:width]
+    gk, den = gk_buf.reshape(width, m), den_buf.reshape(width, m)
+    for out, rows, diag, (denom,) in candidate_blocks(m, 1):
+        lookahead_denominators(state, d, g[rows], diag, denom)
+        gk[:, out] = g[rows][:, cols].T
+        den[:, out] = denom[:, cols].T
+
     inv_n = 1.0 / state.n
-    risk_plus = np.empty(m)
-    risk_minus = np.empty(m)
+    tie = DEFAULT_TOLERANCES.tie_relative
+    sums = np.zeros((2, m))  # partial sums of the + and - branch terms
+    bound = np.zeros(m)
+    live = np.ones(m, dtype=bool)
+    scored = np.zeros(m, dtype=bool)
+    rows = np.arange(m)
+    best, spent, pos = np.inf, 0, 0
+    while pos < m:
+        cols = order[pos:pos + width * m // rows.size]  # a chunk is at most width * |u| cells
+        shape = (cols.size, rows.size)
+        gk, den, t = (buf[:cols.size * rows.size].reshape(shape) for buf in (gk_buf, den_buf, t_buf))
+        own = np.flatnonzero((rank[rows] >= pos) & (rank[rows] < pos + cols.size))
+        own = (rank[rows[own]] - pos, own)  # the q == k entries in this chunk
+        if pos:  # the guard pass filled the first chunk
+            if rows.size == m:  # G[q, k] for every q: one take along rows, then node-major
+                np.copyto(gk, np.take(g, cols, axis=1, out=t.reshape(shape[::-1]), mode="wrap").T)
+            else:
+                idx = np.add(cols[:, None], (rows * m)[None, :], out=idx_buf[:t.size].reshape(shape))
+                np.take(g.reshape(-1), idx, out=gk, mode="wrap")  # "wrap" writes ``out`` unbuffered
+            _denominators(gk, d[rows], d[cols, None], own, out=den)
+        for coeff, acc in zip((b_plus, b_minus), sums):
+            _branch_terms(gk, coeff[rows], a[cols, None], den, own, out=t)
+            acc[rows] += t.sum(axis=0)
+        wp = w_plus[rows]
+        bound[rows] = (wp * sums[0, rows] + (1.0 - wp) * sums[1, rows]) * inv_n
+        spent += rows.size * cols.size
+        pos += cols.size
 
-    for q0, q1, diag, (denom, num) in candidate_blocks(m, 2):
-        gb = g[q0:q1]
-        lookahead_denominators(state, d, gb, q0, diag, denom)
-        for coeff, out_vec in ((b_plus, risk_plus), (b_minus, risk_minus)):
-            np.multiply(gb, coeff[q0:q1, None], out=num)
-            num += a[None, :]
-            num /= denom
-            np.abs(num, out=num)
-            _logistic_tail(num, out=num)  # min(p, 1 - p) = sigmoid(-|f+|)
-            num[diag] = 0.0  # just-queried node is certain
-            np.sum(num, axis=1, out=out_vec[q0:q1])
-
-    w_plus = sigmoid(f)
-    return (w_plus * risk_plus + (1.0 - w_plus) * risk_minus) * inv_n
+        i = rows[np.argmin(bound[rows])]
+        bound[i] = _tsa_rows(state, d, coeffs, np.array([i]))[0]
+        scored[i] = True
+        best = min(best, bound[i])
+        live[bound > (best + tie * max(1.0, abs(best))) * (1.0 + ROUNDING_MARGIN)] = False
+        rows = np.flatnonzero(live & ~scored)
+        if rows.size <= width or spent >= SWEEP_BUDGET * m * m:
+            break
+    return np.flatnonzero(live)
 
 
 def zlg_risk_table(state: LabelState, h: np.ndarray | None = None) -> np.ndarray:
@@ -261,32 +433,38 @@ def zlg_risk_table(state: LabelState, h: np.ndarray | None = None) -> np.ndarray
     risk_plus = np.empty(m)
     risk_minus = np.empty(m)
 
-    for q0, q1, diag, (ratio, hp) in candidate_blocks(m, 2):
-        np.divide(g[q0:q1], d[q0:q1, None], out=ratio)
+    for out, rows, diag, (ratio, hp) in candidate_blocks(m, 2):
+        np.divide(g[rows], d[rows, None], out=ratio)
         for y, out_vec in ((1.0, risk_plus), (-1.0, risk_minus)):
-            np.multiply(ratio, (y - h[q0:q1])[:, None], out=hp)
+            np.multiply(ratio, (y - h[rows])[:, None], out=hp)
             hp += h[None, :]
             np.abs(hp, out=hp)
             np.minimum(hp, 1.0, out=hp)
             np.subtract(1.0, hp, out=hp)
             hp *= 0.5
             hp[diag] = 0.0
-            np.sum(hp, axis=1, out=out_vec[q0:q1])
+            np.sum(hp, axis=1, out=out_vec[out])
 
     w_plus = (np.clip(h, -1.0, 1.0) + 1.0) / 2.0
     return (w_plus * risk_plus + (1.0 - w_plus) * risk_minus) * inv_n
 
 
-def argmin_ties(values: np.ndarray, rng: np.random.Generator | None = None) -> int:
+def argmin_ties(values: np.ndarray, rng: np.random.Generator | None = None, nodes=None) -> int:
     """Index of the minimum, breaking near-ties uniformly at random.
 
     Anything within ``tie_relative * max(1, |min|)`` of the minimum counts
-    as tied; without an rng the first tied index wins.
+    as tied; without an rng the first tied index wins.  ``+inf`` entries
+    are never chosen while a finite one exists; a NaN raises
+    :class:`DegeneracyError` naming ``nodes[i]`` (default ``i``) of the
+    first NaN entry.
     """
     v = np.asarray(values, dtype=float)
     if v.size == 0:
         raise UsageError("empty score vector")
     best = float(v.min())
+    if best != best:  # min() propagates a NaN
+        i = int(np.argmax(np.isnan(v)))
+        raise DegeneracyError("score of candidate {} is NaN", i if nodes is None else nodes[i])
     tol = DEFAULT_TOLERANCES.tie_relative * max(1.0, abs(best))
     ties = np.flatnonzero(v <= best + tol)
     if ties.size == 1 or rng is None:

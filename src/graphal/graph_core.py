@@ -250,7 +250,7 @@ class LabelState:
         block; the strided view of ``np.diag`` makes that broadcast slower.
         """
         d = self.inverse.diagonal().copy()
-        if d.min() <= self.singular_floor:
+        if not d.min() > self.singular_floor:  # a NaN fails too; argmin names the first
             bad = self.unlabeled[int(np.argmin(d))]
             raise DegeneracyError("inverse diagonal vanished at node {}", bad)
         return d
@@ -365,7 +365,7 @@ def downdate_inverse(state: LabelState, k: int, label: float) -> LabelState:
         raise InputError(f"label must be +1 or -1, got {label}")
     g = state.inverse
     pivot = g[qi, qi]
-    if pivot <= state.singular_floor:
+    if not pivot > state.singular_floor:
         raise DegeneracyError(f"inverse diagonal at node {{}} is {pivot:.3e}; cannot downdate", k)
 
     col = np.concatenate((g[:qi, qi], g[qi + 1:, qi]))

@@ -23,7 +23,9 @@ computation that shares no code with it:
 
 Each check yields one deviation per case, and :func:`_check` reports
 their maximum.  A NaN deviation propagates into that maximum, which then
-fails the check.
+fails the check.  A case that raises :class:`DegeneracyError` (how the
+guards answer a NaN or a vanishing pivot in the inverse) ends the check as
+failed, and the report carries the error's text, node included.
 """
 from __future__ import annotations
 
@@ -34,6 +36,7 @@ import numpy as np
 import scipy.special
 
 from .config import DEFAULT_TOLERANCES
+from .errors import DegeneracyError
 from .graph_core import (
     Graph,
     LabelState,
@@ -56,22 +59,29 @@ class CheckResult:
     cases: int
     max_deviation: float
     tolerance: float
+    error: str = ""  # a DegeneracyError that ended the corpus early
 
     @property
     def passed(self) -> bool:
-        return self.max_deviation <= self.tolerance
+        return not self.error and self.max_deviation <= self.tolerance
 
 
 def _check(name: str, tolerance: float):
     """Turn a generator of per-case deviations into ``check(rng, graphs) -> CheckResult``.
 
-    ``np.max`` propagates NaN, so a case whose deviation is NaN fails.
+    ``np.max`` propagates NaN, so a case whose deviation is NaN fails; a
+    case that raises :class:`DegeneracyError` ends the corpus, and the
+    result fails with the error's text.
     """
     def wrap(cases):
         @functools.wraps(cases)
         def check(rng: np.random.Generator, graphs: int) -> CheckResult:
-            devs = np.fromiter(cases(rng, graphs), dtype=float)
-            return CheckResult(name, devs.size, float(np.max(devs, initial=0.0)), tolerance)
+            devs, error = [], ""
+            try:
+                devs.extend(cases(rng, graphs))
+            except DegeneracyError as exc:
+                error = str(exc)
+            return CheckResult(name, len(devs), float(np.max(devs, initial=0.0)), tolerance, error)
         return check
     return wrap
 
@@ -320,6 +330,6 @@ def format_report(results: list[CheckResult]) -> str:
         verdict = "pass" if r.passed else "FAIL"
         lines.append(
             f"{r.name:28s} cases={r.cases:<5d} max-dev={r.max_deviation:.3e} "
-            f"tol={r.tolerance:.0e}  {verdict}"
+            f"tol={r.tolerance:.0e}  {verdict}" + (f"  ({r.error})" if r.error else "")
         )
     return "\n".join(lines)

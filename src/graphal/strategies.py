@@ -44,6 +44,7 @@ from .eem import (
     candidate_blocks,
     lookahead_denominators,
     tsa_risk_table,
+    tsa_survivors,
     zlg_risk_table,
     tsa_lookahead_decisions,
     zlg_lookahead_harmonic,
@@ -135,18 +136,35 @@ def _choose(kind: StrategyKind, state: LabelState, risk_table, rng) -> int:
         return state.unlabeled[i]
     else:
         raise UsageError(f"unsupported strategy kind {kind}")
-    return state.unlabeled[argmin_ties(scores, rng)]
+    return state.unlabeled[argmin_ties(scores, rng, state.unlabeled)]
 
 
 def next_query(session: BinarySession, rng: np.random.Generator | None = None) -> int:
-    """Choose the next node to query; near-ties break uniformly via ``rng``."""
+    """Choose the next node to query; near-ties break uniformly via ``rng``.
+
+    For tsa, :func:`~graphal.eem.tsa_survivors` first prunes on partial risk
+    sums, and one :func:`tsa_risk_table` call scores the survivors exactly.
+    A pruned candidate reads +inf: its bound, a partial sum of its
+    nonnegative per-node terms, exceeds an exactly scored risk plus the
+    tie tolerance by the relative ``eem.ROUNDING_MARGIN`` (other summation
+    order, other ``exp`` kernel), so its exact risk lies above the minimum
+    plus the tie tolerance, and the tied set, the choice and the ``rng``
+    draws are those of the full table.
+    """
+    state = session.state
 
     def risk_table():
-        if session.kind is StrategyKind.TSA:
-            return tsa_risk_table(session.state, f=session.decisions)
-        return zlg_risk_table(session.state, h=session.harmonic)
+        if session.kind is StrategyKind.ZLG:
+            return zlg_risk_table(state, h=session.harmonic)
+        keep = tsa_survivors(state, session.decisions)
+        table = tsa_risk_table(state, f=session.decisions, candidates=keep)
+        if keep is None:
+            return table
+        scores = np.full(len(state.unlabeled), np.inf)
+        scores[keep] = table
+        return scores
 
-    return _choose(session.kind, session.state, risk_table, rng)
+    return _choose(session.kind, state, risk_table, rng)
 
 
 def _roll(state: LabelState, harmonic: np.ndarray, decisions, node: int, y):
@@ -415,26 +433,26 @@ def multiclass_risk_table(
 
     mask_buf = np.empty((block_rows(m, c_count), m), dtype=bool)
     risk = np.zeros(m)
-    for q0, q1, diag, blk in candidate_blocks(m, 2 * c_count + 6, c_count):
+    for sel, _, diag, blk in candidate_blocks(m, 2 * c_count + 6, c_count):
         a_all, s_minus = blk[:c_count], blk[c_count:2 * c_count]
         cols, shift, z, s_plus, base_sum, top1 = blk[2 * c_count:]
-        mask = mask_buf[:q1 - q0]
-        np.copyto(cols, g[:, q0:q1].T)
-        dq = d[q0:q1, None]
+        mask = mask_buf[:len(cols)]
+        np.copyto(cols, g[:, sel].T)
+        dq = d[sel, None]
         if tsa:
-            inv_denom = lookahead_denominators(base, d, cols, q0, diag, out=z)
+            inv_denom = lookahead_denominators(base, d, cols, diag, out=z)
             np.divide(1.0, inv_denom, out=inv_denom)
             np.multiply(2.0, cols, out=shift)
             shift /= dq
             shift *= inv_denom
             for c, a in enumerate(a_all):  # -A, the exact negation of A
-                np.multiply(cols, values[c, q0:q1, None], out=a)
+                np.multiply(cols, values[c, sel, None], out=a)
                 a -= scaled[c]
                 a *= inv_denom
         else:
             np.divide(cols, dq, out=shift)
             for c, a in enumerate(a_all):
-                np.multiply(shift, values[c, q0:q1, None], out=a)
+                np.multiply(shift, values[c, sel, None], out=a)
                 np.subtract(values[c], a, out=a)
 
         # One fold of S- over the classes: its row sum and row max.  From
@@ -470,7 +488,7 @@ def multiclass_risk_table(
             contrib = ratio
             np.subtract(1.0, ratio, out=contrib)
             contrib[diag] = 0.0  # the queried node is observed under every outcome
-            risk[q0:q1] += weights[q0:q1, c] * contrib.sum(axis=1)
+            risk[sel] += weights[sel, c] * contrib.sum(axis=1)
     return risk / n
 
 

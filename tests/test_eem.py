@@ -148,6 +148,37 @@ def test_degenerate_pivot_is_reported():
         multiclass_risk_table(MulticlassState(2, (flat, flat)), StrategyKind.TSA)
 
 
+def test_nan_in_the_inverse_is_reported_not_spread():
+    state = chain_state(6, [0], [1.0])  # unlabeled nodes 1..5
+
+    def with_inverse(inverse):
+        return LabelState(state.lap, state.labeled, state.labels, state.unlabeled, inverse)
+
+    g = state.inverse.copy()
+    g[2, 2] = np.nan  # node 3's diagonal
+    broken = with_inverse(g)
+    f, h = tsa_marginals(state).values, lp_harmonic(state)
+    for call in (
+        broken.checked_diagonal,
+        lambda: tsa_risk_table(broken, f),
+        lambda: zlg_risk_table(broken, h),
+        lambda: next_query(start_binary(broken, StrategyKind.TSA)),
+    ):
+        with pytest.raises(DegeneracyError, match="inverse diagonal vanished at node 3"):
+            call()
+    with pytest.raises(DegeneracyError, match="inverse diagonal at node 3 is nan"):
+        tsa_lookahead_decisions(broken, f, 3, 1.0)
+    with pytest.raises(DegeneracyError, match="inverse diagonal at node 3 is nan"):
+        zlg_lookahead_harmonic(broken, h, 3, 1.0)
+    with pytest.raises(DegeneracyError, match="inverse diagonal at node 3 is nan; cannot downdate"):
+        downdate_inverse(broken, 3, 1.0)
+
+    g = state.inverse.copy()
+    g[1, 3] = np.nan  # G_qk for candidate node 2 at node 4
+    with pytest.raises(DegeneracyError, match="candidate 2 at node 4"):
+        tsa_risk_table(with_inverse(g), f)
+
+
 # --- lookahead risk and the all-candidates tables ----------------------------
 
 
@@ -218,17 +249,35 @@ def test_binary_risk_tables_do_not_depend_on_the_block_layout(monkeypatch):
             zlg_risk_table(state, h=session.harmonic),
         )
 
+    rng = np.random.default_rng(4)
+    subsets = (
+        np.array([m - 1, 0, 5]),
+        rng.choice(m, 50, replace=False),
+        np.arange(m)[::-3],
+        np.array([], dtype=int),
+        np.array([-1, 3 - m]),  # negative positions read as numpy indexing reads them
+    )
+
+    def subset_tables():
+        return [tsa_risk_table(state, f=session.decisions, candidates=idx) for idx in subsets]
+
     default = tables()
+    for idx, got in zip(subsets, subset_tables()):
+        assert np.array_equal(got, default[0][idx])
     monkeypatch.setattr(eem, "BLOCK_CELLS", 1)  # one candidate per block
     assert eem.block_rows(m) == 1
-    single = tables()
+    single = tables(), subset_tables()
     monkeypatch.setattr(eem, "BLOCK", m)
     monkeypatch.setattr(eem, "BLOCK_CELLS", m * m)  # every candidate in one block
     assert eem.block_rows(m) == m
-    whole = tables()
-    for layout in (single, whole):
+    whole = tables(), subset_tables()
+    for layout, subset_layout in (single, whole):
         for got, want in zip(layout, default):
             assert np.array_equal(got, want)
+        for idx, got in zip(subsets, subset_layout):
+            assert np.array_equal(got, default[0][idx])
+    with pytest.raises(IndexError):
+        tsa_risk_table(state, f=session.decisions, candidates=np.array([m]))
 
 
 def test_binary_risk_table_scratch_is_bounded_by_the_cell_budget():
@@ -277,6 +326,16 @@ def test_argmin_ties_tolerance_and_determinism():
     w = np.array([5.0, 4.0, 4.0 + 1e-6])  # outside tolerance: never tied
     assert all(argmin_ties(w, np.random.default_rng(s)) == 1 for s in range(16))
     assert argmin_ties(-w, None) == 0  # maxima are picked as minima of the negation
+
+
+def test_argmin_ties_names_a_nan_and_skips_infinities():
+    with pytest.raises(DegeneracyError, match="score of candidate 0 is NaN"):
+        argmin_ties(np.array([np.nan, 1.0]))
+    with pytest.raises(DegeneracyError, match="score of candidate 7 is NaN"):
+        argmin_ties(np.array([1.0, np.nan, np.nan]), np.random.default_rng(0), nodes=(3, 7, 9))
+    v = np.array([np.inf, 2.0, np.inf, 2.0])
+    assert argmin_ties(v, None) == 1
+    assert {argmin_ties(v, np.random.default_rng(s)) for s in range(16)} == {1, 3}
 
 
 def test_tie_selection_uniform_on_featureless_graph():
