@@ -54,12 +54,14 @@ def _parse_label_spec(spec: str, n: int) -> tuple[list[int], list[float]]:
 
 
 def _resolve_graph(args) -> Graph:
-    picked = [x for x in ("edges", "chain", "grid") if getattr(args, x, None)]
+    picked = [x for x in ("edges", "chain", "grid") if getattr(args, x) is not None]
     if len(picked) != 1:
         raise UsageError("choose exactly one graph source: --edges FILE, --chain N, or --grid")
-    if args.edges:
+    if args.edges is not None:
         return read_edge_list(args.edges, n=args.n)
-    if args.chain:
+    if args.n is not None:
+        raise UsageError("--n applies only to --edges")
+    if args.chain is not None:
         if args.chain < 2:
             raise UsageError(f"--chain needs N >= 2, got {args.chain}")
         return gen_chain(args.chain, 0).graph  # the chain and grid graphs do not depend on the seed
@@ -164,8 +166,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("marginals", help="print per-node P(Y=+1) for a labeled graph")
     p.add_argument("--edges", help="edge-list file: 'i j [w]' per line, 1-based ids")
     p.add_argument("--n", type=int, default=None, help="node count override for --edges")
-    p.add_argument("--chain", type=int, default=0, metavar="N", help="unit-weight path graph on N nodes")
-    p.add_argument("--grid", action="store_true", help="10x10 unit-weight grid graph")
+    p.add_argument("--chain", type=int, default=None, metavar="N", help="unit-weight path graph on N nodes")
+    p.add_argument("--grid", action="store_true", default=None, help="10x10 unit-weight grid graph")
     p.add_argument("--labels", required=True, help="observed labels, e.g. \"1:+1,11:-1\"")
     p.add_argument("--methods", default="tsa,zlg,lp", help="comma list of tsa,zlg,lp,exact")
     p.add_argument("--beta", type=float, default=DEFAULT_BETA, help="coupling strength")

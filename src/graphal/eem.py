@@ -49,7 +49,6 @@ from .errors import DegeneracyError, UsageError
 from .graph_core import LabelState, downdate_inverse
 from .inference import (
     MarginalKind,
-    Marginals,
     _logistic_tail,
     exact_bmrf_marginals,
     lp_harmonic,
@@ -65,20 +64,6 @@ SWEEP_BUDGET = 0.5  # bound-sweep cells, as a share of the |u|^2 table, after wh
 # same terms, up to a few ULP of ``exp`` each, in different orders; each sum is
 # within (|u| - 1) eps of the exact real sum, so the slack holds for |u| < 4e6.
 ROUNDING_MARGIN = 1e-9
-
-
-def zero_one_risk(marginals: Marginals, n: int) -> float:
-    """Expected number of sign errors over the whole graph, divided by n.
-
-    Each unlabeled node contributes ``min(p, 1-p)``; labeled nodes
-    contribute zero but still count in the denominator.
-    """
-    if n < 1:
-        raise UsageError(f"need n >= 1, got {n}")
-    p = marginals.prob_plus
-    if p.size == 0:
-        return 0.0
-    return float(np.minimum(p, 1.0 - p).sum() / n)
 
 
 def tsa_lookahead_decisions(state: LabelState, f: np.ndarray, q: int, y) -> np.ndarray:
@@ -325,8 +310,7 @@ def tsa_survivors(state: LabelState, f: np.ndarray) -> np.ndarray | None:
 
     1. Guard: every lookahead denominator is checked in the table's own
        block order, so a degenerate state raises exactly what
-       :func:`tsa_risk_table` raises.  The same pass keeps the first
-       chunk's denominators for the bounds.
+       :func:`tsa_risk_table` raises.
     2. Bounds: nodes k are taken in descending order of current risk
        ``1 / (1 + exp|f_k|)``, in chunks of ``width * |u|`` cells, ``width =
        min(SWEEP_COLUMNS, BLOCK_CELLS // |u|)``: ``width`` nodes while every
@@ -358,6 +342,8 @@ def tsa_survivors(state: LabelState, f: np.ndarray) -> np.ndarray | None:
     coeffs = a, b_plus, b_minus, w_plus = _tsa_coefficients(d, f)
     if not all(np.isfinite(v).all() for v in coeffs[:3]):
         return None  # a NaN term could hide in an unswept node; the table shows it
+    for _, rows, diag, (denom,) in candidate_blocks(m, 1):  # step 1, the guard
+        lookahead_denominators(state, d, g[rows], diag, denom)
     order = np.argsort(-_logistic_tail(np.abs(f), out=np.empty(m)), kind="stable")
     width = min(SWEEP_COLUMNS, max(1, BLOCK_CELLS // m))
     rank = np.empty(m, dtype=np.intp)
@@ -367,13 +353,6 @@ def tsa_survivors(state: LabelState, f: np.ndarray) -> np.ndarray | None:
     # live candidates, so every pass runs along the long candidate axis.
     gk_buf, den_buf, t_buf = np.empty((3, width * m))
     idx_buf = np.empty(width * m, dtype=np.intp)
-    cols = order[:width]
-    gk, den = gk_buf.reshape(width, m), den_buf.reshape(width, m)
-    for out, rows, diag, (denom,) in candidate_blocks(m, 1):
-        lookahead_denominators(state, d, g[rows], diag, denom)
-        gk[:, out] = g[rows][:, cols].T
-        den[:, out] = denom[:, cols].T
-
     inv_n = 1.0 / state.n
     tie = DEFAULT_TOLERANCES.tie_relative
     sums = np.zeros((2, m))  # partial sums of the + and - branch terms
@@ -388,13 +367,9 @@ def tsa_survivors(state: LabelState, f: np.ndarray) -> np.ndarray | None:
         gk, den, t = (buf[:cols.size * rows.size].reshape(shape) for buf in (gk_buf, den_buf, t_buf))
         own = np.flatnonzero((rank[rows] >= pos) & (rank[rows] < pos + cols.size))
         own = (rank[rows[own]] - pos, own)  # the q == k entries in this chunk
-        if pos:  # the guard pass filled the first chunk
-            if rows.size == m:  # G[q, k] for every q: one take along rows, then node-major
-                np.copyto(gk, np.take(g, cols, axis=1, out=t.reshape(shape[::-1]), mode="wrap").T)
-            else:
-                idx = np.add(cols[:, None], (rows * m)[None, :], out=idx_buf[:t.size].reshape(shape))
-                np.take(g.reshape(-1), idx, out=gk, mode="wrap")  # "wrap" writes ``out`` unbuffered
-            _denominators(gk, d[rows], d[cols, None], own, out=den)
+        idx = np.add(cols[:, None], (rows * m)[None, :], out=idx_buf[:t.size].reshape(shape))
+        np.take(g.reshape(-1), idx, out=gk, mode="wrap")  # "wrap" writes ``out`` unbuffered
+        _denominators(gk, d[rows], d[cols, None], own, out=den)
         for coeff, acc in zip((b_plus, b_minus), sums):
             _branch_terms(gk, coeff[rows], a[cols, None], den, own, out=t)
             acc[rows] += t.sum(axis=0)

@@ -36,7 +36,7 @@ import numpy as np
 import scipy.special
 
 from .config import DEFAULT_TOLERANCES
-from .errors import DegeneracyError
+from .errors import DegeneracyError, UsageError
 from .graph_core import (
     Graph,
     LabelState,
@@ -314,6 +314,8 @@ def check_laplacian_blocks(rng: np.random.Generator, graphs: int):
 
 def run_selftest(seed: int = 0, graphs: int = 50) -> list[CheckResult]:
     """All five oracle checks on independent seed streams."""
+    if graphs < 1:
+        raise UsageError(f"need at least 1 graph per check, got {graphs}")
     streams = np.random.SeedSequence(seed).spawn(5)
     return [
         check_downdate(np.random.default_rng(streams[0]), graphs),

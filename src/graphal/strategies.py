@@ -282,15 +282,6 @@ def multiclass_update(mstate: MulticlassState, node: int, observed_class: int) -
     return _one_vs_rest(base, classes, mstate.class_count)
 
 
-@dataclass(frozen=True)
-class MulticlassMarginals:
-    """Normalized class-probability table plus the uniform-fallback count."""
-
-    nodes: tuple[int, ...]
-    table: np.ndarray  # (|u|, C), rows sum to 1
-    fallback_rows: int
-
-
 def _normalize_rows(scores: np.ndarray) -> tuple[np.ndarray, int]:
     """Row-normalize nonnegative scores; all-zero rows become uniform."""
     sums = scores.sum(axis=1)
@@ -317,34 +308,6 @@ def multiclass_decisions(mstate: MulticlassState, h: np.ndarray | None = None) -
     if h is None:
         h = multiclass_harmonics(mstate)
     return 2.0 * h / np.diag(mstate.states[0].inverse)[:, None]
-
-
-def multiclass_marginals(
-    mstate: MulticlassState, decisions: np.ndarray | None = None
-) -> MulticlassMarginals:
-    """Class-probability table: normalized per-class logistic marginals.
-
-    ``table[k][c] = sigmoid(f_k^c) / sum_c' sigmoid(f_k^c')``.  A row whose
-    every binary marginal saturates to zero carries no signal; it falls
-    back to uniform 1/C and is counted in ``fallback_rows``.
-    """
-    if decisions is None:
-        decisions = multiclass_decisions(mstate)
-    table, fallback = _normalize_rows(sigmoid(decisions))
-    return MulticlassMarginals(mstate.unlabeled, table, fallback)
-
-
-def multiclass_zero_one_risk(table: np.ndarray, n: int) -> float:
-    """Expected misclassifications over the whole graph, divided by n.
-
-    Each unlabeled row contributes ``1 - max_c table[k][c]``; with C=2 this
-    is exactly the binary ``min(p, 1-p)`` risk.
-    """
-    if n < 1:
-        raise UsageError(f"need n >= 1, got {n}")
-    if table.shape[0] == 0:
-        return 0.0
-    return float((1.0 - table.max(axis=1)).sum() / n)
 
 
 def _harmonic_prob(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

@@ -97,6 +97,21 @@ def test_marginals_requires_one_graph_source(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "source,msg",
+    [
+        (["--chain", "0"], "--chain needs N >= 2, got 0"),
+        (["--chain", "5", "--n", "3"], "--n applies only to --edges"),
+        (["--grid", "--n", "7"], "--n applies only to --edges"),
+    ],
+)
+def test_marginals_rejects_a_bad_graph_source_flag(capsys, source, msg):
+    code, out, err = run(capsys, "marginals", *source, "--labels", "1:+1")
+    assert code == 2
+    assert err == f"error: {msg}\n"
+    assert out == ""
+
+
 def test_marginals_unknown_method(capsys):
     code, _, err = run(
         capsys, "marginals", "--chain", "4", "--labels", "1:+1", "--methods", "magic"
@@ -225,6 +240,14 @@ def test_selftest_passes_and_reports(capsys):
     assert code == 0
     assert out.count("pass") == 5
     assert "downdate-equivalence" in out
+
+
+@pytest.mark.parametrize("graphs", ["0", "-3"])
+def test_selftest_without_graphs_is_a_usage_error(capsys, graphs):
+    code, out, err = run(capsys, "selftest", "--graphs", graphs)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: need at least 1 graph per check, got {graphs}\n"
 
 
 @pytest.mark.parametrize("bias", [1e-3, np.nan], ids=["bias", "nan"])

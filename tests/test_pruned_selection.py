@@ -168,7 +168,12 @@ def test_a_nan_decision_value_fails_clearly(monkeypatch):
         next_query(broken)
 
 
-def test_a_vanishing_denominator_in_a_pruned_candidate_raises_like_the_table():
+@pytest.mark.parametrize(
+    "pick_node",
+    [lambda j, f: (j + 17) % f.size, lambda j, f: int(np.argmin(np.abs(f)))],
+    ids=["later-node", "first-swept-node"],  # the smallest |f| is the bound sweep's first column
+)
+def test_a_vanishing_denominator_in_a_pruned_candidate_raises_like_the_table(pick_node):
     session = two_block_session(0, 2)
     state, f = session.state, session.decisions
     m = len(state.unlabeled)
@@ -177,7 +182,8 @@ def test_a_vanishing_denominator_in_a_pruned_candidate_raises_like_the_table():
     table = eem.tsa_risk_table(state, f)
     j = int(np.argmax(np.where(np.isin(np.arange(m), survivors), -np.inf, table)))  # a pruned candidate
     assert j not in survivors and j > eem.block_rows(m)  # not in the first block
-    k = (j + 17) % m
+    k = pick_node(j, f)
+    assert k != j
 
     g = state.inverse.copy()
     g[j, k] = np.sqrt(g[j, j] * g[k, k])  # G_kk - G_jk^2 / G_jj rounds to about 0

