@@ -81,7 +81,7 @@ def tsa_lookahead_decisions(state: LabelState, f: np.ndarray, q: int, y) -> np.n
     d = np.diag(g)
     if not d[qi] > state.singular_floor:  # a NaN fails too
         raise DegeneracyError(f"inverse diagonal at node {{}} is {d[qi]:.3e}", q)
-    col = g[:, qi]
+    col = g[qi]
     denom = lookahead_denominators(state, d, col[None, :], ([0], [qi]), np.empty((1, d.size)))[0]
     if f.ndim == 2:
         d, col, denom = d[:, None], col[:, None], denom[:, None]
@@ -101,7 +101,7 @@ def zlg_lookahead_harmonic(state: LabelState, h: np.ndarray, q: int, y) -> np.nd
     g = state.inverse
     if not g[qi, qi] > state.singular_floor:
         raise DegeneracyError(f"inverse diagonal at node {{}} is {g[qi, qi]:.3e}", q)
-    ratio = g[:, qi] / g[qi, qi]
+    ratio = g[qi] / g[qi, qi]
     if h.ndim == 2:
         ratio = ratio[:, None]
     hp = h + (y - h[qi]) * ratio
@@ -204,12 +204,10 @@ def _denominators(g_qk, d_q, d_k, certain, out) -> np.ndarray:
 def lookahead_denominators(state: LabelState, d, g_rows, diag, out) -> np.ndarray:
     """``G_kk - G_qk^2 / G_qq`` for the candidates ``diag[1]``, into ``out``.
 
-    ``g_rows[i]`` holds ``G_qk`` over k for candidate ``diag[1][i]``: row q
-    of ``G`` for the binary tables, column q for the one-vs-rest sweep and
-    for :func:`tsa_lookahead_decisions` (after downdates ``G`` is symmetric
-    only to rounding).  ``d`` is ``diag(G)``.  The q == k slots (``diag``),
-    which the callers handle separately, read 1.  An entry at or below
-    ``singular_floor``, or a NaN, raises naming the first such entry.
+    ``g_rows[i]`` is row q of ``G`` for candidate q = ``diag[1][i]``, and
+    ``d`` is ``diag(G)``.  The q == k slots (``diag``), which the callers
+    handle separately, read 1.  An entry at or below ``singular_floor``, or
+    a NaN, raises naming the first such entry.
     """
     qs = diag[1]
     _denominators(g_rows, d[qs, None], d, diag, out)
@@ -328,9 +326,9 @@ def tsa_survivors(state: LabelState, f: np.ndarray) -> np.ndarray | None:
        tolerance, so it is neither the minimizer nor tied with it.
     4. The sweep stops once at most ``width`` unscored candidates are live,
        every node is summed, or it has spent ``SWEEP_BUDGET`` of the table's
-       cells.  A sweep cell costs about two table cells (it gathers
-       ``G[q, k]`` down columns), so a select where nothing prunes costs
-       about two tables.
+       cells.  A sweep cell costs about one and a half table cells (it
+       gathers ``G[q, k]`` along row k, ``G`` being exactly symmetric), so a
+       select where nothing prunes costs about two tables.
 
     The survivors are the live candidates, scored ones included.
     """
@@ -367,7 +365,7 @@ def tsa_survivors(state: LabelState, f: np.ndarray) -> np.ndarray | None:
         gk, den, t = (buf[:cols.size * rows.size].reshape(shape) for buf in (gk_buf, den_buf, t_buf))
         own = np.flatnonzero((rank[rows] >= pos) & (rank[rows] < pos + cols.size))
         own = (rank[rows[own]] - pos, own)  # the q == k entries in this chunk
-        idx = np.add(cols[:, None], (rows * m)[None, :], out=idx_buf[:t.size].reshape(shape))
+        idx = np.add((cols * m)[:, None], rows[None, :], out=idx_buf[:t.size].reshape(shape))
         np.take(g.reshape(-1), idx, out=gk, mode="wrap")  # "wrap" writes ``out`` unbuffered
         _denominators(gk, d[rows], d[cols, None], own, out=den)
         for coeff, acc in zip((b_plus, b_minus), sums):

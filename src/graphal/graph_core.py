@@ -10,12 +10,10 @@ inverse ``G = inv(L_uu)`` of the Laplacian restricted to the unlabeled
 block.  ``G`` is computed once in one buffer by LAPACK ``dpotrf`` +
 ``dpotri``, mirrored to exact symmetry, and afterwards kept current with a
 rank-one downdate each time a node is labeled, so per-step maintenance is
-O(|u|^2) instead of O(|u|^3).  The downdate copies the surviving blocks
-of ``G`` into one new array and updates it there with one BLAS ``dgemm``:
-alpha = -1 is exact and the inner dimension is 1, so each entry is rounded
-once for the product and once for the add, bitwise as in the gathering
-form (a BLAS that fused the two into one FMA would break this, and the
-``*bitwise_equal_to_gathering_form`` tests would say so).  Node positions
+O(|u|^2) instead of O(|u|^3).  The downdate subtracts ``s s^T`` with
+``s = G_q. / sqrt(G_qq)``, and ``s_i s_j`` rounds as ``s_j s_i`` does, so
+``G`` stays bitwise symmetric from the mirrored factorization on: every
+reader may take ``G_qk`` from row q, the contiguous one.  Node positions
 are found by bisection on the ascending node tuples, so a commit does no
 O(|u|) Python work.
 
@@ -213,8 +211,8 @@ class LabelState:
     """Partition of the nodes plus the maintained inverse of ``L_uu``.
 
     ``labeled`` and ``unlabeled`` are ascending node tuples; ``labels`` is
-    the +/-1 vector aligned with ``labeled``; ``inverse`` is
-    ``G = inv(L_uu)`` with rows/columns aligned with ``unlabeled``.
+    the +/-1 vector aligned with ``labeled``; ``inverse`` is the bitwise
+    symmetric ``G = inv(L_uu)``, rows/columns aligned with ``unlabeled``.
     Instances are immutable values; operations return new states.
     """
 
@@ -349,16 +347,16 @@ def downdate_inverse(state: LabelState, k: int, label: float) -> LabelState:
 
     The four blocks of ``G`` around row and column ``k`` are copied into a
     fresh C-order (|u|-1)^2 array, whose Fortran-order transpose
-    ``dgemm(-1, col, col / pivot, beta=1)`` updates in place.  With inner
-    dimension 1 each product is rounded once and added with the exact
-    alpha = -1, so every entry is ``round(g - round((col_i / pivot) col_j))``,
-    bitwise the gathering form ``g[keep][:, keep] - np.outer(col / pivot,
-    col)`` without its index arrays, copy and outer product.  A BLAS that
-    fused the product and the add into one FMA would change bits;
-    ``test_downdate_is_bitwise_equal_to_gathering_form``,
-    ``test_downdates_to_the_end_stay_bitwise_equal_to_gathering_form`` and
-    ``test_downdate_kernel_paths_are_bitwise_equal_to_gathering_form``
-    catch that.  ``state`` is left as it was.
+    ``dgemm(-1, s, s, beta=1)`` updates in place, ``s`` being row k of
+    ``G`` without its own entry over ``sqrt(pivot)``.  With inner dimension
+    1 each product is rounded once and added with the exact alpha = -1, so
+    every entry is ``round(g_ij - round(s_i s_j))``, bitwise the gathering
+    form ``g[keep][:, keep] - np.outer(s, s)``, and as ``s_i s_j == s_j s_i``
+    the result is exactly symmetric again.  A BLAS that fused the product
+    and the add into one FMA would change bits, and one whose kernels
+    rounded tile edges differently would break the symmetry; the
+    ``*bitwise_equal_to_gathering_form`` and ``*bitwise_symmetric*`` tests
+    catch both.  ``state`` is left as it was.
     """
     qi = state.u_index(k)
     if label not in (1.0, -1.0, 1, -1):
@@ -368,13 +366,14 @@ def downdate_inverse(state: LabelState, k: int, label: float) -> LabelState:
     if not pivot > state.singular_floor:
         raise DegeneracyError(f"inverse diagonal at node {{}} is {pivot:.3e}; cannot downdate", k)
 
-    col = np.concatenate((g[:qi, qi], g[qi + 1:, qi]))
-    new_inv = np.empty((col.size, col.size))
+    s = np.concatenate((g[qi, :qi], g[qi, qi + 1:]))
+    s /= np.sqrt(pivot)
+    new_inv = np.empty((s.size, s.size))
     new_inv[:qi, :qi], new_inv[:qi, qi:] = g[:qi, :qi], g[:qi, qi + 1:]
     new_inv[qi:, :qi], new_inv[qi:, qi:] = g[qi + 1:, :qi], g[qi + 1:, qi + 1:]
-    if col.size:  # new_inv.T is Fortran-ordered, so dgemm updates it in place
+    if s.size:  # new_inv.T is Fortran-ordered, so dgemm updates it in place
         new_inv = scipy.linalg.blas.dgemm(
-            -1.0, col[:, None], (col / pivot)[None, :], beta=1.0, c=new_inv.T, overwrite_c=1
+            -1.0, s[:, None], s[None, :], beta=1.0, c=new_inv.T, overwrite_c=1
         ).T
     new_inv.setflags(write=False)
 
@@ -498,8 +497,10 @@ def read_edge_list(path, n: int | None = None) -> Graph:
     except (ValueError, OverflowError):
         raise_first_bad_row(path, _edge_row_fault)
         raise
+    if size < 1:
+        raise InputError(
+            "edge list is empty and no n given" if n is None else f"graph needs at least one node, got n={n}"
+        )
     if max_id > size:
         raise InputError(f"edge references node {max_id} but n={size}")
-    if size < 1:
-        raise InputError("edge list is empty and no n given")
     return graph

@@ -148,6 +148,8 @@ def _label_row_fault(line: str, parts: list[str], seen: set, n: int) -> str | No
         return f"unknown node id {node} (graph has {n})"
     if cls < 0:
         return f"negative class id {cls}"
+    if cls > np.iinfo(np.int64).max:
+        return f"class id {cls} too large"
     if node in seen:
         return f"node {node} labeled twice"
     seen.add(node)
@@ -176,11 +178,10 @@ def load_dataset(edge_path, label_path) -> Dataset:
     missing = np.flatnonzero(classes == -1)
     if missing.size:
         raise ParseError(label_path, last_line, f"node {missing[0] + 1} has no label")
-    class_count = int(classes.max()) + 1
-    absent = sorted(set(range(class_count)) - set(int(c) for c in classes))
-    if absent:
-        raise ParseError(label_path, last_line, f"class ids not contiguous: {absent[0]} missing")
-    return Dataset(name=str(edge_path), graph=graph, labels=classes, class_count=class_count)
+    present = np.unique(classes)  # ascending: the first k with present[k] != k is missing
+    if (gaps := np.flatnonzero(present != np.arange(present.size))).size:
+        raise ParseError(label_path, last_line, f"class ids not contiguous: {gaps[0]} missing")
+    return Dataset(name=str(edge_path), graph=graph, labels=classes, class_count=present.size)
 
 
 def _binary_truth(dataset: Dataset) -> np.ndarray:

@@ -360,9 +360,8 @@ def multiclass_risk_table(
 
     The result is bitwise equal to the per-candidate form (kept in the
     tests as the reference) because every quantity is computed by the
-    same float operations in the same order: candidate q reads column q of
-    ``G`` (after downdates ``G`` is symmetric only to rounding), copied
-    row-major; the class sum adds in class order 0..C-1, which is how
+    same float operations in the same order: candidate q reads row q of
+    ``G`` in place; the class sum adds in class order 0..C-1, which is how
     numpy sums a row of fewer than 8 values (from C = 8 on numpy sums
     pairwise and the last bits may differ); the sum over nodes is one
     contiguous numpy row sum per candidate, and the outcome terms are
@@ -398,9 +397,9 @@ def multiclass_risk_table(
     risk = np.zeros(m)
     for sel, _, diag, blk in candidate_blocks(m, 2 * c_count + 6, c_count):
         a_all, s_minus = blk[:c_count], blk[c_count:2 * c_count]
-        cols, shift, z, s_plus, base_sum, top1 = blk[2 * c_count:]
-        mask = mask_buf[:len(cols)]
-        np.copyto(cols, g[:, sel].T)
+        maxes, shift, z, s_plus, base_sum, top1 = blk[2 * c_count:]
+        mask = mask_buf[:len(maxes)]
+        cols = g[sel]
         dq = d[sel, None]
         if tsa:
             inv_denom = lookahead_denominators(base, d, cols, diag, out=z)
@@ -419,8 +418,8 @@ def multiclass_risk_table(
                 np.subtract(values[c], a, out=a)
 
         # One fold of S- over the classes: its row sum and row max.  From
-        # here on ``cols`` and ``z`` are dead; the outcome loop reuses them
-        # (and ``s_plus``) as scratch under other names.
+        # here on ``z`` is dead; the outcome loop reuses it (and ``s_plus``)
+        # as scratch under other names.
         for c in range(c_count):
             minus_op(a_all[c], shift, out=z)
             score_into(z, s_minus[c])
@@ -433,7 +432,6 @@ def multiclass_risk_table(
         for c in range(c_count):
             plus_op(a_all[c], shift, out=z)
             score_into(z, s_plus)
-            maxes = cols
             np.maximum(top1, s_plus, out=maxes)
             if np.less(s_plus, s_minus[c], out=mask).any():
                 rest = s_minus[:, mask]  # the outcome's rows at those entries

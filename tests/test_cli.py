@@ -157,8 +157,10 @@ def test_marginals_from_edge_file(tmp_path, capsys):
         ("1 2 1\n2 3 5e-324\n", [], "inverse diagonal at node 3 overflows"),
         # node 1 has two unit edges: 2e308 overflows, 1e308 does not
         ("1 2\n1 3\n", ["--beta", "1e308"], "Laplacian diagonal at node 1 overflows"),
+        ("", ["--n", "0"], "graph needs at least one node, got n=0\n"),
+        ("1 2\n2 3\n", ["--n", "-3"], "graph needs at least one node, got n=-3\n"),
     ],
-    ids=["unanchored", "subnormal-anchor", "beta-overflow"],
+    ids=["unanchored", "subnormal-anchor", "beta-overflow", "empty-n-0", "n-below-one"],
 )
 def test_errors_name_one_based_nodes(tmp_path, capsys, edges, extra, msg):
     p = tmp_path / "g.edges"

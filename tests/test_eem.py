@@ -255,7 +255,7 @@ def test_binary_risk_tables_do_not_depend_on_the_block_layout(monkeypatch):
     state = session.state
     m = len(state.unlabeled)
     assert 1 < eem.block_rows(m) < m  # the default sweep spans several blocks
-    assert not np.array_equal(state.inverse, state.inverse.T)  # symmetric only to rounding
+    assert np.array_equal(state.inverse, state.inverse.T)  # downdates keep G exactly symmetric
 
     def tables():
         return (

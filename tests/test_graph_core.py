@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphal.errors import (
     DegeneracyError,
@@ -24,7 +26,14 @@ from graphal.graph_core import (
     read_edge_list,
 )
 from graphal.selftest import check_long_downdate, grounded_inverse, random_connected_graph
-from graphal.strategies import StrategyKind, start_binary
+from graphal.strategies import (
+    StrategyKind,
+    init_multiclass,
+    start_binary,
+    start_multiclass,
+    update,
+    update_multiclass,
+)
 
 
 def chain(n, w=1.0):
@@ -153,10 +162,10 @@ def test_random_corpus_downdate_equals_fresh_inversion():
 
 
 def gathering_downdate(g, qi):
-    """The downdate as it was first written: gather the survivors, subtract ``np.outer``."""
+    """The downdate in gathering form: the survivors of ``G`` less ``np.outer(s, s)``."""
     keep = np.arange(g.shape[0]) != qi
-    col = g[keep, qi]
-    return g[np.ix_(keep, keep)] - np.outer(col / g[qi, qi], col)
+    s = g[qi, keep] / np.sqrt(g[qi, qi])
+    return g[keep][:, keep] - np.outer(s, s)
 
 
 @pytest.mark.parametrize("where", ["first", "middle", "last"])
@@ -167,7 +176,7 @@ def test_downdate_is_bitwise_equal_to_gathering_form(where):
     for k in (7, 23, 41, 52):
         state = downdate_inverse(state, k, 1.0)
     g = state.inverse
-    assert not np.array_equal(g, g.T)  # downdates leave G symmetric only to rounding
+    assert np.array_equal(g, g.T)  # downdates keep G exactly symmetric
     m = len(state.unlabeled)
     qi = {"first": 0, "middle": m // 2, "last": m - 1}[where]
     after = downdate_inverse(state, state.unlabeled[qi], -1.0)
@@ -187,7 +196,7 @@ def test_downdates_to_the_end_stay_bitwise_equal_to_gathering_form():
 
 
 def state_after_downdates(seed, m, commits=3):
-    """A state with ``m`` unlabeled nodes whose ``G`` earlier downdates made asymmetric."""
+    """A state with ``m`` unlabeled nodes, after ``commits`` downdates."""
     rng = np.random.default_rng(seed)
     graph = random_connected_graph(rng, m + commits + 1, m + commits + 1)
     order = [int(v) for v in rng.permutation(graph.n)]
@@ -203,11 +212,39 @@ def test_downdate_kernel_paths_are_bitwise_equal_to_gathering_form(m):
     state = state_after_downdates(100 + m, m)
     g = state.inverse
     assert g.shape == (m, m)
-    if m > 3:
-        assert not np.array_equal(g, g.T)
+    assert np.array_equal(g, g.T)
     for qi in sorted({0, m // 2, m - 1}):
         after = downdate_inverse(state, state.unlabeled[qi], -1.0)
         assert np.array_equal(after.inverse, gathering_downdate(g, qi)), f"qi={qi}"
+
+
+@pytest.mark.parametrize("m", [2, 3, 9, 17, 65, 130, 257])
+@pytest.mark.parametrize("classes", [2, 3], ids=["binary", "one-vs-rest"])
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=3, deadline=None, derandomize=True, database=None)
+def test_inverse_stays_bitwise_symmetric_until_the_last_label(m, classes, seed):
+    # sizes on both sides of the BLAS's small-matrix and blocked kernels and
+    # their tails; every reader of G takes row q for column q
+    rng = np.random.default_rng(seed)
+    graph = random_connected_graph(rng, m + 1, m + 1)
+    order = rng.permutation(graph.n).tolist()
+    truth = rng.integers(classes, size=graph.n)
+    lap = build_laplacian(graph)
+    if classes == 2:
+        y = np.where(truth == 1, 1.0, -1.0)
+        session = start_binary(init_label_state(lap, order[:1], y[order[:1]]), StrategyKind.TSA)
+        step = lambda s, v: update(s, v, y[v])  # noqa: E731
+        inverse = lambda s: s.state.inverse  # noqa: E731
+    else:
+        mstate = init_multiclass(lap, order[:1], truth[order[:1]], classes)
+        session = start_multiclass(mstate, StrategyKind.TSA)
+        step = lambda s, v: update_multiclass(s, v, int(truth[v]))  # noqa: E731
+        inverse = lambda s: s.mstate.states[0].inverse  # noqa: E731
+    for v in order[1:]:
+        g = inverse(session)
+        assert np.array_equal(g, g.T), f"|u| = {len(g)}"
+        session = step(session, v)
+    assert inverse(session).shape == (0, 0)
 
 
 def test_downdate_returns_fresh_read_only_values_and_leaves_the_parent_alone():

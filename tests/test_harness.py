@@ -1,4 +1,6 @@
 """Toy generators, dataset files, trial loop, aggregation, CSV output."""
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -143,12 +145,26 @@ def test_load_dataset_multiclass(tmp_path):
         ("1 0\n2 0\n2 1\n", "labeled twice"),
         ("1 0\nbogus\n", "expected"),
         ("1 -1\n2 0\n", "negative class"),
+        ("1 0\n2 99999999999999999999\n", "labels:2: class id 99999999999999999999 too large"),
     ],
 )
 def test_load_dataset_label_errors(tmp_path, labels, message):
     e, l = write_files(tmp_path, "1 2\n", labels)
     with pytest.raises(ParseError, match=message):
         load_dataset(e, l)
+
+
+def test_class_id_gap_costs_no_memory_per_missing_id(tmp_path):
+    e, l = write_files(tmp_path, "1 2\n2 3\n", "1 0\n2 1000000\n3 1\n")
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError) as info:
+            load_dataset(e, l)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(info.value) == f"{l}:3: class ids not contiguous: 2 missing"
+    assert peak < 1 << 20
 
 
 def test_load_dataset_duplicate_edge(tmp_path):

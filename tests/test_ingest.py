@@ -62,6 +62,8 @@ def reference_read_edge_list(path, n=None):
             seen.add((a, b))
             edges.append((a, b, w))
             max_id = max(max_id, i, j)
+    if n is not None and n < 1:
+        raise InputError(f"graph needs at least one node, got n={n}")
     if n is None:
         n = max_id
     if max_id > n:

@@ -373,7 +373,7 @@ def test_multiclass_risk_table_blocks_match_per_candidate_reference(kind, classe
     m = len(session.mstate.unlabeled)
     assert (BLOCK_CELLS // m < BLOCK // classes) == (n > 100)
     g = session.mstate.states[0].inverse
-    assert not np.array_equal(g, g.T)  # downdates leave G symmetric only to rounding
+    assert np.array_equal(g, g.T)  # downdates keep G exactly symmetric
     if kind is StrategyKind.TSA and beta > 1.0:
         # large beta scales G down and the decision values up: the sweep
         # snaps saturated sigmoids, and with C > 2 some rows saturate to 0
@@ -395,10 +395,12 @@ def rare_sweep_cases(draw):
     """A hand-built one-vs-rest state that drives the sweep off its usual path.
 
     ``G`` is the inverse of a random diagonally dominant SPD matrix whose
-    off-diagonal entries have both signs.  A negative ``G_kq`` makes the
-    lookahead shift negative, so ``S+[c] < S-[c]`` there and the row max
-    needs the patch over the other classes.  With ``saturate``, ``G`` is
-    scaled by 1/beta = 1e-4 and some rows are negative in every class: tsa's
+    off-diagonal entries have both signs, averaged with its transpose so
+    that it is exactly symmetric, as a maintained inverse is.  A negative
+    ``G_kq`` makes the lookahead shift negative, so ``S+[c] < S-[c]`` there
+    and the row max needs the patch over the other classes.  With
+    ``saturate``, ``G`` is scaled by 1/beta = 1e-4 and some rows are
+    negative in every class: tsa's
     decision values saturate to 0 (zlg's harmonic values clip to 0) in every
     class, and those rows fall back to uniform.  C stays below 8, where
     numpy sums a row sequentially, as the reference does.
@@ -413,6 +415,7 @@ def rare_sweep_cases(draw):
     np.fill_diagonal(off, 0.0)
     spd = off + np.diag(np.abs(off).sum(axis=1) + rng.uniform(0.1, 1.0, m))
     g = np.linalg.inv(spd * (1e4 if saturate else 1.0))
+    g = (g + g.T) / 2.0
     if not (g < 0.0).any():  # flip node 0: D G D is the inverse of D spd D, D = diag(-1, 1, ...)
         g[0, 1:] *= -1.0
         g[1:, 0] *= -1.0
@@ -434,7 +437,8 @@ def rare_sweep_cases(draw):
 def test_multiclass_risk_table_rare_paths_match_per_candidate_reference(case):
     mstate, kind, decisions, harmonics, saturate = case
     g = mstate.states[0].inverse
-    assert (g < 0.0).any()  # some candidate column holds a negative entry
+    assert (g < 0.0).any()  # some candidate row holds a negative entry
+    assert np.array_equal(g, g.T)
     if saturate:
         scores = sigmoid(decisions) if kind is StrategyKind.TSA else _harmonic_prob(harmonics)
         assert _normalize_rows(scores)[1] > 0  # fallback rows
