@@ -24,14 +24,20 @@ choices made from it do not.
 
 The tsa selection needs only the minimizer, and a candidate's risk is a sum
 of nonnegative per-node terms, so a partial sum is a lower bound.
-:func:`tsa_survivors` sums each candidate's terms over the nodes in
+:func:`bound_sweep` sums each candidate's terms over the nodes in
 descending order of current risk, a chunk of nodes at a time, scores
 exactly the candidate with the smallest bound after each chunk, and drops
 every candidate whose bound exceeds that best score plus the tie tolerance
-(lazy evaluation, Minoux 1978).  Only the survivors get exact rows.  A term
-of the sweep is the same float operations on the same operands as the
-table's term, so only ``exp`` (a different kernel may differ by a few ULP)
-and the order of the additions differ; ``ROUNDING_MARGIN`` covers both.
+(lazy evaluation, Minoux 1978).  Only the survivors get exact rows.  It is
+the one sweep for both tsa tables: :func:`tsa_survivors` is its binary
+caller and ``strategies.multiclass_tsa_survivors`` its one-vs-rest one,
+each handing it the table's own per-node terms and exact rows.  A term of
+the sweep is the same float operations on the same operands as the table's
+term, so only ``exp`` (a different kernel may differ by a few ULP) and the
+order of the additions differ; ``ROUNDING_MARGIN`` covers both, and a
+caller whose terms can round below 0 names their floor.  zlg keeps the
+full tables: its per-node terms stay large far from the labels, so its
+bounds prune almost nothing.
 
 ``lookahead_risk`` is the plain per-candidate form of the same quantity,
 kept around as the readable reference the tables are tested against (its
@@ -302,58 +308,94 @@ def tsa_risk_table(
 def tsa_survivors(state: LabelState, f: np.ndarray) -> np.ndarray | None:
     """Positions of the candidates whose exact tsa risk may tie the minimum.
 
-    Returns None where pruning is not tried: a table of one block (the
-    sweep would cost as much as the table) and coefficients that are not
-    all finite.  Otherwise:
-
-    1. Guard: every lookahead denominator is checked in the table's own
-       block order, so a degenerate state raises exactly what
-       :func:`tsa_risk_table` raises.
-    2. Bounds: nodes k are taken in descending order of current risk
-       ``1 / (1 + exp|f_k|)``, in chunks of ``width * |u|`` cells, ``width =
-       min(SWEEP_COLUMNS, BLOCK_CELLS // |u|)``: ``width`` nodes while every
-       candidate is live, more as candidates drop, so the per-chunk work
-       stays large next to its fixed cost.  Each live candidate adds both
-       branch terms of the table at those k (the q == k term is 0, as in
-       the table) through the table's own :func:`_denominators` and
-       :func:`_branch_terms`, so each term is the same float operations on
-       the same operands.
-    3. After each chunk the live candidate with the smallest bound is
-       scored exactly by the table's row kernel; the smallest such score is
-       ``best``.  A candidate whose bound (or exact score) exceeds
-       ``(best + tie_relative * max(1, |best|)) * (1 + ROUNDING_MARGIN)``
-       is dropped: its exact risk lies above the minimum plus the tie
-       tolerance, so it is neither the minimizer nor tied with it.
-    4. The sweep stops once at most ``width`` unscored candidates are live,
-       every node is summed, or it has spent ``SWEEP_BUDGET`` of the table's
-       cells.  A sweep cell costs about one and a half table cells (it
-       gathers ``G[q, k]`` along row k, ``G`` being exactly symmetric), so a
-       select where nothing prunes costs about two tables.
-
-    The survivors are the live candidates, scored ones included.
+    The binary caller of :func:`bound_sweep`.  Returns None where pruning
+    is not tried: a table of one block (the sweep would cost as much as the
+    table) and coefficients that are not all finite (a NaN term could hide
+    in an unswept node; the table shows it).  Nodes are taken in descending
+    order of current risk ``1 / (1 + exp|f_k|)``; each live candidate adds
+    both branch terms of the table through the table's own
+    :func:`_denominators` and :func:`_branch_terms`, and a probe is one row
+    of :func:`_tsa_rows`.  The terms are logistic tails, never negative.
     """
     m = len(state.unlabeled)
     if block_rows(m) == m:
         return None
-    g = state.inverse
     d = state.checked_diagonal()
     coeffs = a, b_plus, b_minus, w_plus = _tsa_coefficients(d, f)
     if not all(np.isfinite(v).all() for v in coeffs[:3]):
-        return None  # a NaN term could hide in an unswept node; the table shows it
-    for _, rows, diag, (denom,) in candidate_blocks(m, 1):  # step 1, the guard
-        lookahead_denominators(state, d, g[rows], diag, denom)
+        return None
     order = np.argsort(-_logistic_tail(np.abs(f), out=np.empty(m)), kind="stable")
+
+    def terms(gk, cols, rows, own, scratch):
+        den, t = scratch
+        _denominators(gk, d[rows], d[cols, None], own, out=den)
+        for coeff in (b_plus, b_minus):
+            _branch_terms(gk, coeff[rows], a[cols, None], den, own, out=t)
+            yield t.sum(axis=0)
+
+    def exact_rows(candidates):
+        return _tsa_rows(state, d, coeffs, candidates)
+
+    return bound_sweep(state, d, 1, order, (w_plus, 1.0 - w_plus), terms, exact_rows, slabs=2)
+
+
+def bound_sweep(state: LabelState, d, classes: int, order, weights, terms, exact_rows,
+                slabs: int, term_floor: float = 0.0) -> np.ndarray:
+    """The one bound-then-verify sweep: positions of the candidates whose
+    exact risk may tie the minimum of a risk table.
+
+    The table's entry for candidate q is ``sum_b weights[b][q] *
+    sum_k term_b(q, k) / n`` over outcomes b and nodes k, the weights of a
+    candidate summing to 1 and every term at least ``term_floor`` (<= 0).
+    The callers supply the table's pieces:
+
+    * ``d``, the checked ``diag(G)``; ``classes`` sizes the table's blocks;
+    * ``order``, every node position, most uncertain first;
+    * ``terms(gk, cols, rows, own, scratch)``, yielding for each outcome b
+      ``sum_k term_b(q, k)`` over the nodes ``cols`` for the candidates
+      ``rows``.  ``gk[j, i]`` is ``G_qk`` for q = ``rows[i]``, k =
+      ``cols[j]`` (node-major), ``own`` indexes its q == k entries, and
+      ``scratch`` stacks ``slabs`` more arrays of ``gk``'s shape.  A term must
+      be the same float operations on the same operands as the table's;
+    * ``exact_rows(positions)``, the table's entries bitwise.
+
+    1. Guard: every lookahead denominator is checked in the table's own
+       block order, ``block_rows(|u|, classes)``, so a degenerate state
+       raises exactly what the table raises.
+    2. Bounds: the nodes are summed in ``order``, in chunks of ``width *
+       |u|`` cells, ``width = min(SWEEP_COLUMNS, BLOCK_CELLS // |u|)``:
+       ``width`` nodes while every candidate is live, more as candidates
+       drop, so the per-chunk work stays large next to its fixed cost.
+       ``G_qk`` is gathered along row k (``G`` is exactly symmetric).
+    3. After each chunk the live candidate with the smallest bound is
+       scored by ``exact_rows``; the smallest such score is ``best``.  A
+       candidate whose bound (or exact score) exceeds ``(best +
+       tie_relative * max(1, |best|)) * (1 + ROUNDING_MARGIN)``, plus
+       ``-term_floor`` per node not yet summed, is dropped: its exact risk
+       lies above the minimum plus the tie tolerance, so it is neither the
+       minimizer nor tied with it.
+    4. The sweep stops once at most ``width`` unscored candidates are live,
+       every node is summed, or it has spent ``SWEEP_BUDGET`` of the table's
+       cells.  A sweep cell costs about one and a half table cells (the
+       gather, the index), so a select where nothing prunes costs about two
+       tables.
+
+    Scratch: one guard slab of a table block, then ``slabs + 2`` slabs of
+    ``width * |u|`` cells (``gk``, the gather index and the callers').
+    The survivors are the live candidates, scored ones included.
+    """
+    m = len(order)
+    g = state.inverse
+    _guard(state, d, classes)
     width = min(SWEEP_COLUMNS, max(1, BLOCK_CELLS // m))
     rank = np.empty(m, dtype=np.intp)
     rank[order] = np.arange(m)
 
-    # Chunk scratch, node-major: row j holds node cols[j]'s entries of the
-    # live candidates, so every pass runs along the long candidate axis.
-    gk_buf, den_buf, t_buf = np.empty((3, width * m))
+    work = np.empty((1 + slabs, width * m))  # gk, then the caller's scratch
     idx_buf = np.empty(width * m, dtype=np.intp)
     inv_n = 1.0 / state.n
     tie = DEFAULT_TOLERANCES.tie_relative
-    sums = np.zeros((2, m))  # partial sums of the + and - branch terms
+    sums = np.zeros((len(weights), m))  # partial sums per outcome
     bound = np.zeros(m)
     live = np.ones(m, dtype=bool)
     scored = np.zeros(m, dtype=bool)
@@ -362,29 +404,38 @@ def tsa_survivors(state: LabelState, f: np.ndarray) -> np.ndarray | None:
     while pos < m:
         cols = order[pos:pos + width * m // rows.size]  # a chunk is at most width * |u| cells
         shape = (cols.size, rows.size)
-        gk, den, t = (buf[:cols.size * rows.size].reshape(shape) for buf in (gk_buf, den_buf, t_buf))
+        cells = work[:, :cols.size * rows.size].reshape((1 + slabs, *shape))
+        gk, scratch = cells[0], cells[1:]
         own = np.flatnonzero((rank[rows] >= pos) & (rank[rows] < pos + cols.size))
         own = (rank[rows[own]] - pos, own)  # the q == k entries in this chunk
-        idx = np.add((cols * m)[:, None], rows[None, :], out=idx_buf[:t.size].reshape(shape))
+        idx = np.add((cols * m)[:, None], rows[None, :], out=idx_buf[:gk.size].reshape(shape))
         np.take(g.reshape(-1), idx, out=gk, mode="wrap")  # "wrap" writes ``out`` unbuffered
-        _denominators(gk, d[rows], d[cols, None], own, out=den)
-        for coeff, acc in zip((b_plus, b_minus), sums):
-            _branch_terms(gk, coeff[rows], a[cols, None], den, own, out=t)
-            acc[rows] += t.sum(axis=0)
-        wp = w_plus[rows]
-        bound[rows] = (wp * sums[0, rows] + (1.0 - wp) * sums[1, rows]) * inv_n
+        for acc, part in zip(sums, terms(gk, cols, rows, own, scratch)):
+            acc[rows] += part
+        weighted = weights[0][rows] * sums[0, rows]
+        for w, acc in zip(weights[1:], sums[1:]):
+            weighted += w[rows] * acc[rows]
+        bound[rows] = weighted * inv_n
         spent += rows.size * cols.size
         pos += cols.size
 
         i = rows[np.argmin(bound[rows])]
-        bound[i] = _tsa_rows(state, d, coeffs, np.array([i]))[0]
+        bound[i] = exact_rows(np.array([i]))[0]
         scored[i] = True
         best = min(best, bound[i])
-        live[bound > (best + tie * max(1.0, abs(best))) * (1.0 + ROUNDING_MARGIN)] = False
+        cutoff = (best + tie * max(1.0, abs(best))) * (1.0 + ROUNDING_MARGIN) - term_floor * (m - pos) * inv_n
+        live[bound > cutoff] = False
         rows = np.flatnonzero(live & ~scored)
         if rows.size <= width or spent >= SWEEP_BUDGET * m * m:
             break
     return np.flatnonzero(live)
+
+
+def _guard(state: LabelState, d, classes: int) -> None:
+    """Check every lookahead denominator in the order of a table's blocks
+    (in a frame of its own, so its slab is freed before the sweep's)."""
+    for _, rows, diag, (denom,) in candidate_blocks(len(d), 1, classes):
+        lookahead_denominators(state, d, state.inverse[rows], diag, denom)
 
 
 def zlg_risk_table(state: LabelState, h: np.ndarray | None = None) -> np.ndarray:

@@ -293,6 +293,19 @@ def _spd_block_inverse(lap: Laplacian, nodes: tuple[int, ...]) -> np.ndarray:
     return buf
 
 
+def whole_numbers(values, what: str, error: type[Exception] = InputError) -> list[int]:
+    """``values`` as Python ints.  A value that is not a whole number (of
+    any integer or float type) raises ``error`` naming it, where ``int()``
+    alone would turn 5.5 into 5."""
+    out = []
+    for v in values:
+        i = int(v)
+        if i != v:
+            raise error(f"{what} {v!r} is not a whole number")
+        out.append(i)
+    return out
+
+
 def init_label_state(lap: Laplacian, labeled, labels) -> LabelState:
     """Construct a state from scratch, inverting ``L_uu`` once.
 
@@ -306,7 +319,7 @@ def init_label_state(lap: Laplacian, labeled, labels) -> LabelState:
     ``L_uu`` is numerically not positive definite or ``diag(G)`` overflows.
     The labeled nodes may come in any order; ``labels`` follows theirs.
     """
-    nodes = [int(v) for v in labeled]
+    nodes = whole_numbers(labeled, "labeled node")
     order = np.argsort(nodes, kind="stable")
     labeled = tuple(nodes[i] for i in order)
     if not labeled:

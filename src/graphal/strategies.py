@@ -25,7 +25,9 @@ One-vs-rest runs C of these binary rules over one shared partition and
 inverse, on the binary code: the harmonics are :func:`lp_harmonic` of an
 (|l|, C) label matrix, a commit is one :func:`downdate_inverse` followed by
 ``_one_vs_rest``, and both session kinds roll their vectors by ``_roll``.
-Only the risk table has its own one-vs-rest sweep.
+Only the risk table has its own one-vs-rest arithmetic
+(:func:`_outcome_terms`); tsa prunes it through the bound sweep shared
+with the binary table, ``eem.bound_sweep``.
 """
 from __future__ import annotations
 
@@ -37,10 +39,12 @@ import numpy as np
 
 from .config import DEFAULT_TOLERANCES
 from .errors import UsageError
-from .graph_core import LabelState, Laplacian, downdate_inverse, init_label_state
+from .graph_core import LabelState, Laplacian, downdate_inverse, init_label_state, whole_numbers
 from .eem import (
+    _denominators,
     argmin_ties,
     block_rows,
+    bound_sweep,
     candidate_blocks,
     lookahead_denominators,
     tsa_risk_table,
@@ -157,14 +161,19 @@ def next_query(session: BinarySession, rng: np.random.Generator | None = None) -
         if session.kind is StrategyKind.ZLG:
             return zlg_risk_table(state, h=session.harmonic)
         keep = tsa_survivors(state, session.decisions)
-        table = tsa_risk_table(state, f=session.decisions, candidates=keep)
-        if keep is None:
-            return table
-        scores = np.full(len(state.unlabeled), np.inf)
-        scores[keep] = table
-        return scores
+        return _spread(keep, tsa_risk_table(state, f=session.decisions, candidates=keep), state)
 
     return _choose(session.kind, state, risk_table, rng)
+
+
+def _spread(keep, table: np.ndarray, state: LabelState) -> np.ndarray:
+    """The survivors' exact entries ``table`` at their positions ``keep``,
+    +inf at the pruned ones; ``table`` itself when nothing was pruned."""
+    if keep is None:
+        return table
+    scores = np.full(len(state.unlabeled), np.inf)
+    scores[keep] = table
+    return scores
 
 
 def _roll(state: LabelState, harmonic: np.ndarray, decisions, node: int, y):
@@ -253,8 +262,8 @@ def _one_vs_rest(base: LabelState, classes: np.ndarray, class_count: int) -> Mul
 
 def init_multiclass(lap: Laplacian, nodes, classes, class_count: int) -> MulticlassState:
     """One-vs-rest setup: class c's run labels node v +1 iff class(v) == c."""
-    nodes = [int(v) for v in nodes]
-    classes = np.array([int(c) for c in classes], dtype=int)
+    nodes = whole_numbers(nodes, "labeled node")
+    classes = np.array(whole_numbers(classes, "class id", UsageError), dtype=int)
     if len(nodes) != len(classes):
         raise UsageError("nodes and classes must align")
     if np.any((classes < 0) | (classes >= class_count)):
@@ -265,6 +274,14 @@ def init_multiclass(lap: Laplacian, nodes, classes, class_count: int) -> Multicl
     return _one_vs_rest(base, classes, class_count)
 
 
+def _class_id(value, class_count: int) -> int:
+    """``value`` as an int class id, if it is a whole number in 0..C-1."""
+    (c,) = whole_numbers([value], "class id", UsageError)
+    if not 0 <= c < class_count:
+        raise UsageError(f"class id {value!r} out of range")
+    return c
+
+
 def multiclass_update(mstate: MulticlassState, node: int, observed_class: int) -> MulticlassState:
     """Absorb one observed class across all one-vs-rest runs.
 
@@ -272,8 +289,7 @@ def multiclass_update(mstate: MulticlassState, node: int, observed_class: int) -
     it), so it is computed once; ``_one_vs_rest`` relabels the runs with
     the observed class inserted in node order.
     """
-    if not 0 <= observed_class < mstate.class_count:
-        raise UsageError(f"class id {observed_class} out of range")
+    observed_class = _class_id(observed_class, mstate.class_count)
     old = mstate.states[0]
     pos = bisect.bisect_left(old.labeled, node)
     base = downdate_inverse(old, node, 1.0 if observed_class == 0 else -1.0)
@@ -318,11 +334,130 @@ def _harmonic_prob(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
+def _table_operands(mstate: MulticlassState, kind: StrategyKind, d, decisions, harmonics) -> tuple:
+    """``(tsa, weights, values, per_node)`` of the one-vs-rest risk table.
+
+    ``weights`` (|u|, C) are the outcome probabilities, ``values`` (C, |u|)
+    the per-class values, class-major, and ``per_node`` the node operand of
+    :func:`_outcome_terms`: ``d_k f_k^c`` for tsa, ``h_k^c`` for zlg.
+    """
+    if kind is StrategyKind.TSA:
+        if decisions is None:
+            decisions = multiclass_decisions(mstate)
+        values = np.ascontiguousarray(decisions.T)
+        weights = _normalize_rows(sigmoid(decisions))[0]
+        return True, weights, values, d * values
+    if kind is StrategyKind.ZLG:
+        if harmonics is None:
+            harmonics = multiclass_harmonics(mstate)
+        values = np.ascontiguousarray(harmonics.T)
+        return False, _normalize_rows(_harmonic_prob(harmonics))[0], values, values
+    raise UsageError(f"{kind} has no expected-risk table")
+
+
+def _outcome_terms(tsa: bool, g_qk, d_q, v_q, v_k, certain, slabs, maxes, mask):
+    """Per-node risk ``1 - max_c p_c / sum_c p_c`` after each outcome b of
+    a candidate, yielded for b = 0..C-1 as one array of the cells' shape.
+
+    The one copy of the one-vs-rest cell arithmetic.  ``g_qk`` is ``G_qk``
+    and ``d_q`` is ``G_qq``, broadcast to the cells' shape; ``v_q`` and
+    ``v_k`` stack the candidate's class values and the node's ``per_node``
+    operand (see :func:`_table_operands`) along a leading class axis.  The
+    table passes candidate-major blocks, the bound sweep node-major chunks,
+    so a term is the same float operations on the same operands in either
+    layout.  The q == k cells ``certain`` read 0.
+
+    ``slabs`` stacks ``a_0..a_C-1, s_0..s_C-1, shift, z, base_sum, top1``,
+    2C + 4 arrays of the cells' shape (contents are garbage, but for tsa
+    ``z`` holds the lookahead denominators on entry); ``maxes`` is one
+    more, which may alias ``g_qk`` (dead once the ``a`` are set), and
+    ``mask`` a bool one.  Each class's slab is contiguous, and the
+    elementwise passes run over all C classes in one call.  A yielded array
+    is scratch, valid until the next outcome.
+    """
+    c_count = len(v_q)
+    a_all, s_minus = slabs[:c_count], slabs[c_count:2 * c_count]
+    shift, z, base_sum, top1 = slabs[2 * c_count:]
+    if tsa:
+        # For tsa the slabs hold ``-A = (G_qk f_q - d_k f_k) / denom``, the
+        # exact negation of A (rounding is symmetric in sign), so the
+        # logistic kernel reads ``-A + B = -(A - B)`` and ``-A - B = -(A + B)``
+        # without a negation pass.
+        inv_denom = np.divide(1.0, z, out=z)
+        np.multiply(2.0, g_qk, out=shift)
+        shift /= d_q
+        shift *= inv_denom
+        np.multiply(g_qk, v_q, out=a_all)
+        a_all -= v_k
+        a_all *= inv_denom
+        score_into, minus_op, plus_op = _saturating_tail, np.add, np.subtract
+    else:
+        np.divide(g_qk, d_q, out=shift)
+        np.multiply(shift, v_q, out=a_all)
+        np.subtract(v_k, a_all, out=a_all)
+        score_into, minus_op, plus_op = _harmonic_prob, np.subtract, np.add
+
+    # S- of every class, then one fold over the classes: its row sum and
+    # row max.  S+ then overwrites the spent ``a``.
+    score_into(minus_op(a_all, shift, out=s_minus), s_minus)
+    np.add(s_minus[0], s_minus[1], out=base_sum)
+    np.maximum(s_minus[0], s_minus[1], out=top1)
+    for c in range(2, c_count):
+        base_sum += s_minus[c]
+        np.maximum(top1, s_minus[c], out=top1)
+    s_plus_all = score_into(plus_op(a_all, shift, out=a_all), a_all)
+
+    for c, s_plus in enumerate(s_plus_all):
+        np.maximum(top1, s_plus, out=maxes)
+        if np.less(s_plus, s_minus[c], out=mask).any():
+            rest = s_minus[:, mask]  # the outcome's rows at those entries
+            rest[c] = s_plus[mask]
+            maxes[mask] = rest.max(axis=0)
+        sums = np.subtract(base_sum, s_minus[c], out=z)
+        sums += s_plus
+        ratio = s_plus  # spent
+        if sums.min() > 0.0:
+            np.divide(maxes, sums, out=ratio)
+        else:
+            ratio.fill(1.0 / c_count)  # a row with no signal (sum 0) reads as uniform
+            np.divide(maxes, sums, out=ratio, where=np.greater(sums, 0.0, out=mask))
+        contrib = np.subtract(1.0, ratio, out=ratio)
+        contrib[certain] = 0.0  # the queried node is observed under every outcome
+        yield contrib
+
+
+def _multiclass_rows(base: LabelState, d, operands, candidates: np.ndarray | None = None) -> np.ndarray:
+    """The one-vs-rest table's entries at the positions ``candidates`` (all
+    when None), each bitwise equal to the full table's whatever the block
+    layout.  ``d`` is the checked diagonal, ``operands``
+    :func:`_table_operands`."""
+    tsa, weights, values, per_node = operands
+    g = base.inverse
+    m, c_count = len(base.unlabeled), len(values)
+    count = m if candidates is None else len(candidates)
+    mask_buf = np.empty((min(block_rows(m, c_count), count), m), dtype=bool)
+    risk = np.zeros(count)
+    for out, rows, diag, blk in candidate_blocks(m, 2 * c_count + 5, c_count, candidates):
+        slabs, maxes = blk[:-1], blk[-1]
+        d_q = d[rows, None]
+        # "wrap" writes ``maxes`` unbuffered; ``d_q`` has already rejected a
+        # position at or past |u|
+        g_qk = g[rows] if candidates is None else np.take(g, rows, axis=0, out=maxes, mode="wrap")
+        if tsa:
+            lookahead_denominators(base, d, g_qk, diag, out=slabs[2 * c_count + 1])
+        terms = _outcome_terms(tsa, g_qk, d_q, values[:, rows, None], per_node[:, None], diag, slabs, maxes,
+                               mask_buf[:len(d_q)])
+        for c, contrib in enumerate(terms):
+            risk[out] += weights[rows, c] * contrib.sum(axis=1)
+    return risk / base.n
+
+
 def multiclass_risk_table(
     mstate: MulticlassState,
     kind: StrategyKind,
     decisions: np.ndarray | None = None,
     harmonics: np.ndarray | None = None,
+    candidates: np.ndarray | None = None,
 ) -> np.ndarray:
     """Expected post-query multiclass risk of every candidate.
 
@@ -346,111 +481,74 @@ def multiclass_risk_table(
 
     Candidates are swept by :func:`~graphal.eem.candidate_blocks`, in blocks
     of ``rows = max(1, min(BLOCK // C, BLOCK_CELLS // |u|))``, so a block's
-    scratch stays bounded as |u| grows.  The per-class values are laid out
-    class-major, (C, rows, |u|), so every class slab is contiguous.  One
-    fold over classes 0..C-1 gives the row sum and row max of ``S-``.
-    For tsa the slabs hold ``-A = (cols f_q - d f) / denom``, the exact
-    negation of A (rounding is symmetric in sign), so the logistic kernel
-    reads ``-A + B = -(A - B)`` and ``-A - B = -(A + B)`` without a
-    negation pass.
-    Every pass writes into the driver's scratch, allocated once per call:
-    ``2C + 6`` float slabs of ``(rows, |u|)``, i.e. at most ``(2C + 6) *
-    BLOCK_CELLS`` floats (2.9 MB at C=2, 4.0 MB at C=4) while
-    |u| <= BLOCK_CELLS, plus one bool slab.
+    scratch stays bounded as |u| grows, and :func:`_outcome_terms` does a
+    block's arithmetic in scratch allocated once per call: ``2C + 5`` float
+    slabs of ``(rows, |u|)``, at most ``(2C + 5) * BLOCK_CELLS`` floats (2.6
+    MB at C=2, 3.7 MB at C=4) while |u| <= BLOCK_CELLS, plus one bool slab.
+
+    With ``candidates``, an index array of positions in ``mstate.unlabeled``,
+    only those entries are computed, each bitwise equal to the full
+    table's for any subset and any block layout (a negative position
+    counts from the end, one at or past |u| raises ``IndexError``, as in
+    numpy indexing); their rows of ``G`` go into the ``maxes`` slab.
 
     The result is bitwise equal to the per-candidate form (kept in the
     tests as the reference) because every quantity is computed by the
     same float operations in the same order: candidate q reads row q of
-    ``G`` in place; the class sum adds in class order 0..C-1, which is how
-    numpy sums a row of fewer than 8 values (from C = 8 on numpy sums
-    pairwise and the last bits may differ); the sum over nodes is one
-    contiguous numpy row sum per candidate, and the outcome terms are
-    added in class order.
+    ``G``; the class sum adds in class order 0..C-1, which is how numpy
+    sums a row of fewer than 8 values (from C = 8 on numpy sums pairwise
+    and the last bits may differ); the sum over nodes is one contiguous
+    numpy row sum per candidate, and the outcome terms are added in class
+    order.
     """
     base = mstate.states[0]
-    m = len(base.unlabeled)
-    if m == 0:
+    if not base.unlabeled:
         raise UsageError("no unlabeled nodes left to query")
-    g = base.inverse
     d = base.checked_diagonal()
-    n = mstate.n
-    c_count = mstate.class_count
+    operands = _table_operands(mstate, kind, d, decisions, harmonics)
+    return _multiclass_rows(base, d, operands, candidates)
 
-    tsa = kind is StrategyKind.TSA
-    if tsa:
-        if decisions is None:
-            decisions = multiclass_decisions(mstate)
-        weights = _normalize_rows(sigmoid(decisions))[0]
-        values = np.ascontiguousarray(decisions.T)
-        scaled = d * values  # d_k f_k^c
-        score_into, minus_op, plus_op = _saturating_tail, np.add, np.subtract
-    elif kind is StrategyKind.ZLG:
-        if harmonics is None:
-            harmonics = multiclass_harmonics(mstate)
-        weights = _normalize_rows(_harmonic_prob(harmonics))[0]
-        values = np.ascontiguousarray(harmonics.T)
-        score_into, minus_op, plus_op = _harmonic_prob, np.subtract, np.add
-    else:
-        raise UsageError(f"{kind} has no expected-risk table")
 
-    mask_buf = np.empty((block_rows(m, c_count), m), dtype=bool)
-    risk = np.zeros(m)
-    for sel, _, diag, blk in candidate_blocks(m, 2 * c_count + 6, c_count):
-        a_all, s_minus = blk[:c_count], blk[c_count:2 * c_count]
-        maxes, shift, z, s_plus, base_sum, top1 = blk[2 * c_count:]
-        mask = mask_buf[:len(maxes)]
-        cols = g[sel]
-        dq = d[sel, None]
-        if tsa:
-            inv_denom = lookahead_denominators(base, d, cols, diag, out=z)
-            np.divide(1.0, inv_denom, out=inv_denom)
-            np.multiply(2.0, cols, out=shift)
-            shift /= dq
-            shift *= inv_denom
-            for c, a in enumerate(a_all):  # -A, the exact negation of A
-                np.multiply(cols, values[c, sel, None], out=a)
-                a -= scaled[c]
-                a *= inv_denom
-        else:
-            np.divide(cols, dq, out=shift)
-            for c, a in enumerate(a_all):
-                np.multiply(shift, values[c, sel, None], out=a)
-                np.subtract(values[c], a, out=a)
+def multiclass_tsa_survivors(mstate: MulticlassState, decisions: np.ndarray) -> np.ndarray | None:
+    """Positions of the candidates whose exact one-vs-rest tsa risk may tie
+    the minimum: the one-vs-rest caller of :func:`~graphal.eem.bound_sweep`.
 
-        # One fold of S- over the classes: its row sum and row max.  From
-        # here on ``z`` is dead; the outcome loop reuses it (and ``s_plus``)
-        # as scratch under other names.
-        for c in range(c_count):
-            minus_op(a_all[c], shift, out=z)
-            score_into(z, s_minus[c])
-        np.add(s_minus[0], s_minus[1], out=base_sum)
-        np.maximum(s_minus[0], s_minus[1], out=top1)
-        for c in range(2, c_count):
-            base_sum += s_minus[c]
-            np.maximum(top1, s_minus[c], out=top1)
+    Returns None, like :func:`~graphal.eem.tsa_survivors`, for a table of
+    one block and for values that are not all finite.  Nodes are taken in
+    descending current risk ``1 - max_c p_kc / sum_c p_kc``, ``p =
+    sigmoid(decisions)``; each live candidate adds every outcome's terms
+    through :func:`_outcome_terms`, and a probe is one row of
+    :func:`_multiclass_rows`, never the public table.  A term ``1 -
+    max/sum`` is 0 or more up to the rounding of its patched row sum
+    ``sum(S-) - S-[b] + S+[b]``, within (C + 1) ulp of the row's true sum
+    wherever ``S+[b]`` is not far below ``S-[b]`` (``G_qk >= 0`` up to
+    rounding, as for every graph with weights >= 0), so no term is below
+    the sweep's floor ``-(C + 2) eps``.  Scratch: 2C + 6 node-major chunk
+    slabs (``maxes`` is the gathered ``G_qk``), at most ``(2C + 6) *
+    BLOCK_CELLS`` floats, plus one bool slab.
+    """
+    base = mstate.states[0]
+    m, c_count = len(base.unlabeled), mstate.class_count
+    if block_rows(m, c_count) == m:
+        return None
+    d = base.checked_diagonal()
+    operands = _, weights, values, scaled = _table_operands(mstate, StrategyKind.TSA, d, decisions, None)
+    if not (np.isfinite(values).all() and np.isfinite(scaled).all()):
+        return None
+    order = np.argsort(-(1.0 - weights.max(axis=1)), kind="stable")
 
-        for c in range(c_count):
-            plus_op(a_all[c], shift, out=z)
-            score_into(z, s_plus)
-            np.maximum(top1, s_plus, out=maxes)
-            if np.less(s_plus, s_minus[c], out=mask).any():
-                rest = s_minus[:, mask]  # the outcome's rows at those entries
-                rest[c] = s_plus[mask]
-                maxes[mask] = rest.max(axis=0)
-            sums = z
-            np.subtract(base_sum, s_minus[c], out=sums)
-            sums += s_plus
-            ratio = s_plus
-            if sums.min() > 0.0:
-                np.divide(maxes, sums, out=ratio)
-            else:
-                ratio.fill(1.0 / c_count)  # a row with no signal (sum 0) reads as uniform
-                np.divide(maxes, sums, out=ratio, where=np.greater(sums, 0.0, out=mask))
-            contrib = ratio
-            np.subtract(1.0, ratio, out=contrib)
-            contrib[diag] = 0.0  # the queried node is observed under every outcome
-            risk[sel] += weights[sel, c] * contrib.sum(axis=1)
-    return risk / n
+    def terms(gk, cols, rows, own, slabs):
+        _denominators(gk, d[rows], d[cols, None], own, out=slabs[2 * c_count + 1])
+        mask = np.empty(gk.shape, dtype=bool)
+        v_q, v_k = values[:, None, rows], scaled[:, cols, None]
+        for contrib in _outcome_terms(True, gk, d[rows], v_q, v_k, own, slabs, gk, mask):
+            yield contrib.sum(axis=0)
+
+    def exact_rows(candidates):
+        return _multiclass_rows(base, d, operands, candidates)
+
+    floor = -(c_count + 2) * np.finfo(float).eps
+    return bound_sweep(base, d, c_count, order, weights.T, terms, exact_rows, slabs=2 * c_count + 4, term_floor=floor)
 
 
 @dataclass(frozen=True)
@@ -472,16 +570,26 @@ def start_multiclass(mstate: MulticlassState, kind: StrategyKind) -> MulticlassS
 def next_query_multiclass(
     session: MulticlassSession, rng: np.random.Generator | None = None
 ) -> int:
-    """Same rule as :func:`next_query`, with the one-vs-rest risk table."""
+    """Same rule as :func:`next_query`, with the one-vs-rest risk table.
+
+    For tsa, :func:`multiclass_tsa_survivors` first prunes on partial risk
+    sums and one :func:`multiclass_risk_table` call scores the survivors
+    exactly; a pruned candidate reads +inf, so the tied set, the choice
+    and the ``rng`` draws are those of the full table (see
+    :func:`next_query`).  zlg takes the full table: its per-node terms
+    ``1 - max/sum`` of clipped harmonic values stay large far from the
+    labels, so the bounds prune almost nothing.
+    """
     mstate = session.mstate
-    return _choose(
-        session.kind,
-        mstate.states[0],
-        lambda: multiclass_risk_table(
-            mstate, session.kind, decisions=session.decisions, harmonics=session.harmonics
-        ),
-        rng,
-    )
+
+    def risk_table():
+        if session.kind is StrategyKind.ZLG:
+            return multiclass_risk_table(mstate, session.kind, harmonics=session.harmonics)
+        keep = multiclass_tsa_survivors(mstate, session.decisions)
+        table = multiclass_risk_table(mstate, session.kind, decisions=session.decisions, candidates=keep)
+        return _spread(keep, table, mstate.states[0])
+
+    return _choose(session.kind, mstate.states[0], risk_table, rng)
 
 
 def update_multiclass(
@@ -490,6 +598,7 @@ def update_multiclass(
     """Absorb an observed class: :func:`_roll` the per-class vectors at the
     outcome (+1 in its class's column), then :func:`multiclass_update`."""
     mstate = session.mstate
+    observed_class = _class_id(observed_class, mstate.class_count)
     y = np.where(np.arange(mstate.class_count) == observed_class, 1.0, -1.0)
     h, f = _roll(mstate.states[0], session.harmonics, session.decisions, node, y)
     return replace(session, mstate=multiclass_update(mstate, node, observed_class), harmonics=h, decisions=f)

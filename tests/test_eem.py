@@ -33,10 +33,13 @@ from graphal.selftest import random_connected_graph, random_labeled_state
 from graphal.strategies import (
     MulticlassState,
     StrategyKind,
+    init_multiclass,
     multiclass_risk_table,
     next_query,
     start_binary,
+    start_multiclass,
     update,
+    update_multiclass,
 )
 
 
@@ -238,30 +241,49 @@ def test_demo_chain_lookahead_minimum_at_node_16(demo_chain):
     assert candidates[int(np.argmin(exact_risks))] == 15
 
 
-def binary_session_after_downdates(n, seed):
-    """A tsa session on an n-node random graph after 8 commits."""
+def session_after_downdates(n, seed, classes=1):
+    """A tsa session on an n-node random graph after 8 commits: binary, or
+    one-vs-rest over ``classes`` classes."""
     rng = np.random.default_rng(seed)
     graph = random_connected_graph(rng, n_max=n, n_min=n)
+    lap = build_laplacian(graph)
+    if classes > 1:
+        truth = rng.integers(classes, size=graph.n)
+        session = start_multiclass(init_multiclass(lap, [0], [truth[0]], classes), StrategyKind.TSA)
+        for _ in range(8):
+            q = session.mstate.unlabeled[int(rng.integers(len(session.mstate.unlabeled)))]
+            session = update_multiclass(session, q, int(truth[q]))
+        return session
     truth = np.where(rng.random(graph.n) < 0.5, 1.0, -1.0)
-    session = start_binary(init_label_state(build_laplacian(graph), [0], [truth[0]]), StrategyKind.TSA)
+    session = start_binary(init_label_state(lap, [0], [truth[0]]), StrategyKind.TSA)
     for _ in range(8):
         q = session.state.unlabeled[int(rng.integers(len(session.state.unlabeled)))]
         session = update(session, q, truth[q])
     return session
 
 
-def test_binary_risk_tables_do_not_depend_on_the_block_layout(monkeypatch):
-    session = binary_session_after_downdates(400, 31)
-    state = session.state
+@pytest.mark.parametrize("classes", [1, 2, 3, 4], ids=["binary", "one-vs-rest-2", "one-vs-rest-3", "one-vs-rest-4"])
+def test_risk_tables_do_not_depend_on_the_block_layout(monkeypatch, classes):
+    # The full tables and every ``candidates=`` subset are bitwise the same
+    # in the default layout, one candidate per block, an odd block height
+    # and one block for all.  Binary zlg has no subset form.
+    session = session_after_downdates(400, 31, classes)
+    if classes == 1:
+        state = session.state
+        wholes = [lambda: zlg_risk_table(state, h=session.harmonic)]
+        subsettable = [lambda idx: tsa_risk_table(state, f=session.decisions, candidates=idx)]
+    else:
+        state = session.mstate.states[0]
+        wholes = []
+        subsettable = [
+            lambda idx, kind=kind: multiclass_risk_table(
+                session.mstate, kind, decisions=session.decisions, harmonics=session.harmonics, candidates=idx
+            )
+            for kind in (StrategyKind.TSA, StrategyKind.ZLG)
+        ]
     m = len(state.unlabeled)
-    assert 1 < eem.block_rows(m) < m  # the default sweep spans several blocks
+    assert 1 < eem.block_rows(m, classes) < m  # the default sweep spans several blocks
     assert np.array_equal(state.inverse, state.inverse.T)  # downdates keep G exactly symmetric
-
-    def tables():
-        return (
-            tsa_risk_table(state, f=session.decisions),
-            zlg_risk_table(state, h=session.harmonic),
-        )
 
     rng = np.random.default_rng(4)
     subsets = (
@@ -272,26 +294,30 @@ def test_binary_risk_tables_do_not_depend_on_the_block_layout(monkeypatch):
         np.array([-1, 3 - m]),  # negative positions read as numpy indexing reads them
     )
 
+    def tables():
+        return [table() for table in wholes] + [table(None) for table in subsettable]
+
     def subset_tables():
-        return [tsa_risk_table(state, f=session.decisions, candidates=idx) for idx in subsets]
+        return [[table(idx) for idx in subsets] for table in subsettable]
 
     default = tables()
-    for idx, got in zip(subsets, subset_tables()):
-        assert np.array_equal(got, default[0][idx])
-    monkeypatch.setattr(eem, "BLOCK_CELLS", 1)  # one candidate per block
-    assert eem.block_rows(m) == 1
-    single = tables(), subset_tables()
-    monkeypatch.setattr(eem, "BLOCK", m)
-    monkeypatch.setattr(eem, "BLOCK_CELLS", m * m)  # every candidate in one block
-    assert eem.block_rows(m) == m
-    whole = tables(), subset_tables()
-    for layout, subset_layout in (single, whole):
+    layouts = []
+    for block, cells, rows in ((eem.BLOCK, 1, 1), (eem.BLOCK, 7 * m, 7), (m * classes, m * m, m)):
+        monkeypatch.setattr(eem, "BLOCK", block)
+        monkeypatch.setattr(eem, "BLOCK_CELLS", cells)
+        assert eem.block_rows(m, classes) == rows
+        layouts.append((tables(), subset_tables()))
+    monkeypatch.undo()
+    layouts.append((default, subset_tables()))
+    for layout, subset_layout in layouts:
         for got, want in zip(layout, default):
             assert np.array_equal(got, want)
-        for idx, got in zip(subsets, subset_layout):
-            assert np.array_equal(got, default[0][idx])
-    with pytest.raises(IndexError):
-        tsa_risk_table(state, f=session.decisions, candidates=np.array([m]))
+        for per_subset, want in zip(subset_layout, default[len(wholes):]):
+            for idx, got in zip(subsets, per_subset):
+                assert np.array_equal(got, want[idx])
+    for table in subsettable:
+        with pytest.raises(IndexError):
+            table(np.array([m]))
 
 
 def test_binary_risk_table_scratch_is_bounded_by_the_cell_budget():

@@ -1,4 +1,5 @@
 """Strategy dispatch, VOpt/SOpt, sessions, and the one-vs-rest wrapper."""
+import re
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphal.errors import UsageError
+from graphal.errors import InputError, UsageError
 from graphal.graph_core import build_laplacian, graph_from_edges, init_label_state
 from graphal.inference import lp_harmonic, sigmoid, tsa_marginals
 from graphal.eem import BLOCK, BLOCK_CELLS, tsa_lookahead_decisions, tsa_risk_table, zlg_lookahead_harmonic
@@ -191,6 +192,38 @@ def test_multiclass_rejects_degenerate_setups():
         init_multiclass(lap, [0], [5], 3)  # class id out of range
     with pytest.raises(UsageError):
         MulticlassState(class_count=1, states=())
+
+
+def six_chain():
+    return build_laplacian(graph_from_edges(6, [(i, i + 1, 1.0) for i in range(5)]))
+
+
+@pytest.mark.parametrize(
+    "call, error, text",
+    [
+        # would give node 2 an all -1 label row, read back as class 0
+        (lambda lap: update_multiclass(start_multiclass(init_multiclass(lap, [0], [0], 3), StrategyKind.TSA), 2, 1.5),
+         UsageError, "class id 1.5"),
+        (lambda lap: multiclass_update(init_multiclass(lap, [0], [0], 3), 2, 1.5), UsageError, "class id 1.5"),
+        (lambda lap: init_multiclass(lap, [0, 5], [0, 1.7], 3), UsageError, "class id 1.7"),  # would store class 1
+        (lambda lap: init_multiclass(lap, [0, 5.5], [0, 1], 3), InputError, "labeled node 5.5"),  # would label node 5
+        (lambda lap: init_label_state(lap, [5.5], [1.0]), InputError, "labeled node 5.5"),
+    ],
+    ids=["update_multiclass-class", "multiclass_update-class", "init_multiclass-class", "init_multiclass-node",
+         "init_label_state-node"],
+)
+def test_non_integral_class_ids_and_nodes_are_rejected_by_name(call, error, text):
+    with pytest.raises(error, match=f"^{re.escape(text)} is not a whole number$"):
+        call(six_chain())
+
+
+def test_integral_class_ids_and_nodes_of_any_dtype_are_accepted():
+    lap = six_chain()
+    mstate = init_multiclass(lap, [np.float64(5.0), np.int8(0)], [np.float32(2.0), np.uint8(1)], 3)
+    assert mstate.labeled == (0, 5)
+    assert np.array_equal(np.argmax(np.column_stack([s.labels for s in mstate.states]), axis=1), [1, 2])
+    session = update_multiclass(start_multiclass(mstate, StrategyKind.TSA), 2, np.float64(1.0))
+    assert predict_multiclass(session)[2] == 1
 
 
 def test_multiclass_update_moves_node_and_matches_fresh_inverse():
