@@ -55,8 +55,11 @@ class Dataset:
             raise InputError("one ground-truth class per node required")
         if self.class_count < 2:
             raise InputError(f"need at least 2 classes, got {self.class_count}")
-        present = set(int(c) for c in self.labels)
-        if not present.issubset(range(self.class_count)):
+        labels = np.asarray(self.labels)
+        broken = labels != np.round(labels)  # a NaN too
+        if broken.any():
+            raise InputError(f"class id {labels[broken][0]} is not a whole number")
+        if np.any((labels < 0) | (labels >= self.class_count)):
             raise InputError("class ids must lie in 0..C-1")
 
 

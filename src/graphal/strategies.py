@@ -25,9 +25,10 @@ One-vs-rest runs C of these binary rules over one shared partition and
 inverse, on the binary code: the harmonics are :func:`lp_harmonic` of an
 (|l|, C) label matrix, a commit is one :func:`downdate_inverse` followed by
 ``_one_vs_rest``, and both session kinds roll their vectors by ``_roll``.
-Only the risk table has its own one-vs-rest arithmetic
-(:func:`_outcome_terms`); tsa prunes it through the bound sweep shared
-with the binary table, ``eem.bound_sweep``.
+Only the risk table has its own one-vs-rest arithmetic, one kernel
+(:func:`_one_vs_rest_table`) run by the binary tables' two drivers:
+``eem.table_rows`` for exact entries and, for tsa's pruning,
+``eem.bound_sweep``.
 """
 from __future__ import annotations
 
@@ -41,12 +42,11 @@ from .config import DEFAULT_TOLERANCES
 from .errors import UsageError
 from .graph_core import LabelState, Laplacian, downdate_inverse, init_label_state, whole_numbers
 from .eem import (
-    _denominators,
     argmin_ties,
     block_rows,
     bound_sweep,
-    candidate_blocks,
     lookahead_denominators,
+    table_rows,
     tsa_risk_table,
     tsa_survivors,
     zlg_risk_table,
@@ -334,122 +334,89 @@ def _harmonic_prob(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
-def _table_operands(mstate: MulticlassState, kind: StrategyKind, d, decisions, harmonics) -> tuple:
-    """``(tsa, weights, values, per_node)`` of the one-vs-rest risk table.
+def _one_vs_rest_table(mstate: MulticlassState, kind: StrategyKind, d, decisions, harmonics) -> tuple:
+    """``(terms, weights, operands)`` of the one-vs-rest risk table.
 
-    ``weights`` (|u|, C) are the outcome probabilities, ``values`` (C, |u|)
-    the per-class values, class-major, and ``per_node`` the node operand of
-    :func:`_outcome_terms`: ``d_k f_k^c`` for tsa, ``h_k^c`` for zlg.
+    ``terms`` is its kernel (see ``eem.table_rows``), ``weights`` (C, |u|)
+    the outcome probabilities, and ``operands`` the per-class values and
+    the per-node operand, both (C, |u|), which the sweep needs finite: the
+    values themselves for zlg, ``d_k f_k^c`` for tsa.
     """
-    if kind is StrategyKind.TSA:
+    base = mstate.states[0]
+    tsa = kind is StrategyKind.TSA
+    if tsa:
         if decisions is None:
             decisions = multiclass_decisions(mstate)
         values = np.ascontiguousarray(decisions.T)
-        weights = _normalize_rows(sigmoid(decisions))[0]
-        return True, weights, values, d * values
-    if kind is StrategyKind.ZLG:
+        weights, per_node = _normalize_rows(sigmoid(decisions))[0], d * values
+    elif kind is StrategyKind.ZLG:
         if harmonics is None:
             harmonics = multiclass_harmonics(mstate)
-        values = np.ascontiguousarray(harmonics.T)
-        return False, _normalize_rows(_harmonic_prob(harmonics))[0], values, values
-    raise UsageError(f"{kind} has no expected-risk table")
-
-
-def _outcome_terms(tsa: bool, g_qk, d_q, v_q, v_k, certain, slabs, maxes, mask):
-    """Per-node risk ``1 - max_c p_c / sum_c p_c`` after each outcome b of
-    a candidate, yielded for b = 0..C-1 as one array of the cells' shape.
-
-    The one copy of the one-vs-rest cell arithmetic.  ``g_qk`` is ``G_qk``
-    and ``d_q`` is ``G_qq``, broadcast to the cells' shape; ``v_q`` and
-    ``v_k`` stack the candidate's class values and the node's ``per_node``
-    operand (see :func:`_table_operands`) along a leading class axis.  The
-    table passes candidate-major blocks, the bound sweep node-major chunks,
-    so a term is the same float operations on the same operands in either
-    layout.  The q == k cells ``certain`` read 0.
-
-    ``slabs`` stacks ``a_0..a_C-1, s_0..s_C-1, shift, z, base_sum, top1``,
-    2C + 4 arrays of the cells' shape (contents are garbage, but for tsa
-    ``z`` holds the lookahead denominators on entry); ``maxes`` is one
-    more, which may alias ``g_qk`` (dead once the ``a`` are set), and
-    ``mask`` a bool one.  Each class's slab is contiguous, and the
-    elementwise passes run over all C classes in one call.  A yielded array
-    is scratch, valid until the next outcome.
-    """
-    c_count = len(v_q)
-    a_all, s_minus = slabs[:c_count], slabs[c_count:2 * c_count]
-    shift, z, base_sum, top1 = slabs[2 * c_count:]
-    if tsa:
-        # For tsa the slabs hold ``-A = (G_qk f_q - d_k f_k) / denom``, the
-        # exact negation of A (rounding is symmetric in sign), so the
-        # logistic kernel reads ``-A + B = -(A - B)`` and ``-A - B = -(A + B)``
-        # without a negation pass.
-        inv_denom = np.divide(1.0, z, out=z)
-        np.multiply(2.0, g_qk, out=shift)
-        shift /= d_q
-        shift *= inv_denom
-        np.multiply(g_qk, v_q, out=a_all)
-        a_all -= v_k
-        a_all *= inv_denom
-        score_into, minus_op, plus_op = _saturating_tail, np.add, np.subtract
+        values = per_node = np.ascontiguousarray(harmonics.T)
+        weights = _normalize_rows(_harmonic_prob(harmonics))[0]
     else:
-        np.divide(g_qk, d_q, out=shift)
-        np.multiply(shift, v_q, out=a_all)
-        np.subtract(v_k, a_all, out=a_all)
-        score_into, minus_op, plus_op = _harmonic_prob, np.subtract, np.add
+        raise UsageError(f"{kind} has no expected-risk table")
+    c_count = len(values)
 
-    # S- of every class, then one fold over the classes: its row sum and
-    # row max.  S+ then overwrites the spent ``a``.
-    score_into(minus_op(a_all, shift, out=s_minus), s_minus)
-    np.add(s_minus[0], s_minus[1], out=base_sum)
-    np.maximum(s_minus[0], s_minus[1], out=top1)
-    for c in range(2, c_count):
-        base_sum += s_minus[c]
-        np.maximum(top1, s_minus[c], out=top1)
-    s_plus_all = score_into(plus_op(a_all, shift, out=a_all), a_all)
-
-    for c, s_plus in enumerate(s_plus_all):
-        np.maximum(top1, s_plus, out=maxes)
-        if np.less(s_plus, s_minus[c], out=mask).any():
-            rest = s_minus[:, mask]  # the outcome's rows at those entries
-            rest[c] = s_plus[mask]
-            maxes[mask] = rest.max(axis=0)
-        sums = np.subtract(base_sum, s_minus[c], out=z)
-        sums += s_plus
-        ratio = s_plus  # spent
-        if sums.min() > 0.0:
-            np.divide(maxes, sums, out=ratio)
-        else:
-            ratio.fill(1.0 / c_count)  # a row with no signal (sum 0) reads as uniform
-            np.divide(maxes, sums, out=ratio, where=np.greater(sums, 0.0, out=mask))
-        contrib = np.subtract(1.0, ratio, out=ratio)
-        contrib[certain] = 0.0  # the queried node is observed under every outcome
-        yield contrib
-
-
-def _multiclass_rows(base: LabelState, d, operands, candidates: np.ndarray | None = None) -> np.ndarray:
-    """The one-vs-rest table's entries at the positions ``candidates`` (all
-    when None), each bitwise equal to the full table's whatever the block
-    layout.  ``d`` is the checked diagonal, ``operands``
-    :func:`_table_operands`."""
-    tsa, weights, values, per_node = operands
-    g = base.inverse
-    m, c_count = len(base.unlabeled), len(values)
-    count = m if candidates is None else len(candidates)
-    mask_buf = np.empty((min(block_rows(m, c_count), count), m), dtype=bool)
-    risk = np.zeros(count)
-    for out, rows, diag, blk in candidate_blocks(m, 2 * c_count + 5, c_count, candidates):
-        slabs, maxes = blk[:-1], blk[-1]
-        d_q = d[rows, None]
-        # "wrap" writes ``maxes`` unbuffered; ``d_q`` has already rejected a
-        # position at or past |u|
-        g_qk = g[rows] if candidates is None else np.take(g, rows, axis=0, out=maxes, mode="wrap")
+    def terms(gather, q, k, own, scratch):
+        # Per-node risk 1 - max_c p_c / sum_c p_c after each outcome b.
+        # ``scratch`` stacks a_0..a_C-1, s_0..s_C-1, shift, z, base_sum,
+        # top1 and maxes; each class's slab is contiguous, and the
+        # elementwise passes run over all C classes in one call.  ``maxes``
+        # is the gather target (dead once the ``a`` are set).
+        a_all, s_minus = scratch[:c_count], scratch[c_count:2 * c_count]
+        shift, z, base_sum, top1, maxes = scratch[2 * c_count:]
+        mask = np.empty(maxes.shape, dtype=bool)
+        g_qk, d_q, v_q, v_k = gather(maxes), d[q], values[:, q], per_node[:, k]
         if tsa:
-            lookahead_denominators(base, d, g_qk, diag, out=slabs[2 * c_count + 1])
-        terms = _outcome_terms(tsa, g_qk, d_q, values[:, rows, None], per_node[:, None], diag, slabs, maxes,
-                               mask_buf[:len(d_q)])
-        for c, contrib in enumerate(terms):
-            risk[out] += weights[rows, c] * contrib.sum(axis=1)
-    return risk / base.n
+            # The slabs hold ``-A = (G_qk f_q - d_k f_k) / denom``, the exact
+            # negation of A (rounding is symmetric in sign), so the logistic
+            # kernel reads ``-A + B = -(A - B)`` and ``-A - B = -(A + B)``
+            # without a negation pass.
+            inv_denom = np.divide(1.0, lookahead_denominators(base, d, g_qk, q, k, own, z), out=z)
+            np.multiply(2.0, g_qk, out=shift)
+            shift /= d_q
+            shift *= inv_denom
+            np.multiply(g_qk, v_q, out=a_all)
+            a_all -= v_k
+            a_all *= inv_denom
+            score_into, minus_op, plus_op = _saturating_tail, np.add, np.subtract
+        else:
+            np.divide(g_qk, d_q, out=shift)
+            np.multiply(shift, v_q, out=a_all)
+            np.subtract(v_k, a_all, out=a_all)
+            score_into, minus_op, plus_op = _harmonic_prob, np.subtract, np.add
+
+        # S- of every class, then one fold over the classes: its row sum and
+        # row max.  S+ then overwrites the spent ``a``.
+        score_into(minus_op(a_all, shift, out=s_minus), s_minus)
+        np.add(s_minus[0], s_minus[1], out=base_sum)
+        np.maximum(s_minus[0], s_minus[1], out=top1)
+        for c in range(2, c_count):
+            base_sum += s_minus[c]
+            np.maximum(top1, s_minus[c], out=top1)
+        s_plus_all = score_into(plus_op(a_all, shift, out=a_all), a_all)
+
+        for c, s_plus in enumerate(s_plus_all):
+            np.maximum(top1, s_plus, out=maxes)
+            if np.less(s_plus, s_minus[c], out=mask).any():
+                rest = s_minus[:, mask]  # the outcome's rows at those entries
+                rest[c] = s_plus[mask]
+                maxes[mask] = rest.max(axis=0)
+            sums = np.subtract(base_sum, s_minus[c], out=z)
+            sums += s_plus
+            ratio = s_plus  # spent
+            if sums.min() > 0.0:
+                np.divide(maxes, sums, out=ratio)
+            else:
+                # A row with no signal (sum 0) reads as uniform; a NaN sum stays NaN.
+                ratio.fill(1.0 / c_count)
+                np.divide(maxes, sums, out=ratio, where=np.invert(np.less_equal(sums, 0.0, out=mask), out=mask))
+            contrib = np.subtract(1.0, ratio, out=ratio)
+            contrib[own] = 0.0  # the queried node is observed under every outcome
+            yield contrib
+
+    return terms, weights.T, (values, per_node)
 
 
 def multiclass_risk_table(
@@ -479,18 +446,17 @@ def multiclass_risk_table(
     where the exact ``G_qk`` is 0, are patched with the exact max over the
     other classes, so no sign of ``G`` is assumed.
 
-    Candidates are swept by :func:`~graphal.eem.candidate_blocks`, in blocks
-    of ``rows = max(1, min(BLOCK // C, BLOCK_CELLS // |u|))``, so a block's
-    scratch stays bounded as |u| grows, and :func:`_outcome_terms` does a
-    block's arithmetic in scratch allocated once per call: ``2C + 5`` float
-    slabs of ``(rows, |u|)``, at most ``(2C + 5) * BLOCK_CELLS`` floats (2.6
-    MB at C=2, 3.7 MB at C=4) while |u| <= BLOCK_CELLS, plus one bool slab.
+    The table's kernel (:func:`_one_vs_rest_table`) runs through
+    ``eem.table_rows``, in blocks of ``rows = max(1, min(BLOCK // C,
+    BLOCK_CELLS // |u|))`` candidates, so a block's scratch stays bounded as
+    |u| grows: ``2C + 5`` float slabs of ``(rows, |u|)``, allocated once per
+    call, at most ``(2C + 5) * BLOCK_CELLS`` floats (2.6 MB at C=2, 3.7 MB
+    at C=4) while |u| <= BLOCK_CELLS, plus one bool slab.
 
     With ``candidates``, an index array of positions in ``mstate.unlabeled``,
     only those entries are computed, each bitwise equal to the full
-    table's for any subset and any block layout (a negative position
-    counts from the end, one at or past |u| raises ``IndexError``, as in
-    numpy indexing); their rows of ``G`` go into the ``maxes`` slab.
+    table's, as for ``eem.tsa_risk_table``; their rows of ``G`` go into the
+    ``maxes`` slab.
 
     The result is bitwise equal to the per-candidate form (kept in the
     tests as the reference) because every quantity is computed by the
@@ -505,50 +471,39 @@ def multiclass_risk_table(
     if not base.unlabeled:
         raise UsageError("no unlabeled nodes left to query")
     d = base.checked_diagonal()
-    operands = _table_operands(mstate, kind, d, decisions, harmonics)
-    return _multiclass_rows(base, d, operands, candidates)
+    terms, weights, _ = _one_vs_rest_table(mstate, kind, d, decisions, harmonics)
+    c_count = mstate.class_count
+    return table_rows(base, terms, weights, 2 * c_count + 5, c_count, candidates) / base.n
 
 
 def multiclass_tsa_survivors(mstate: MulticlassState, decisions: np.ndarray) -> np.ndarray | None:
     """Positions of the candidates whose exact one-vs-rest tsa risk may tie
-    the minimum: the one-vs-rest caller of :func:`~graphal.eem.bound_sweep`.
+    the minimum: the one-vs-rest caller of :func:`~graphal.eem.bound_sweep`,
+    with the table's own kernel.
 
     Returns None, like :func:`~graphal.eem.tsa_survivors`, for a table of
     one block and for values that are not all finite.  Nodes are taken in
     descending current risk ``1 - max_c p_kc / sum_c p_kc``, ``p =
-    sigmoid(decisions)``; each live candidate adds every outcome's terms
-    through :func:`_outcome_terms`, and a probe is one row of
-    :func:`_multiclass_rows`, never the public table.  A term ``1 -
-    max/sum`` is 0 or more up to the rounding of its patched row sum
-    ``sum(S-) - S-[b] + S+[b]``, within (C + 1) ulp of the row's true sum
-    wherever ``S+[b]`` is not far below ``S-[b]`` (``G_qk >= 0`` up to
-    rounding, as for every graph with weights >= 0), so no term is below
-    the sweep's floor ``-(C + 2) eps``.  Scratch: 2C + 6 node-major chunk
-    slabs (``maxes`` is the gathered ``G_qk``), at most ``(2C + 6) *
-    BLOCK_CELLS`` floats, plus one bool slab.
+    sigmoid(decisions)``.  A term ``1 - max/sum`` is 0 or more up to the
+    rounding of its patched row sum ``sum(S-) - S-[b] + S+[b]``, within (C
+    + 1) ulp of the row's true sum wherever ``S+[b]`` is not far below
+    ``S-[b]`` (``G_qk >= 0`` up to rounding, as for every graph with
+    weights >= 0), so no term is below the sweep's floor ``-(C + 2) eps``.
+    Scratch: 2C + 7 node-major chunk slabs (the gathered ``G_qk``, its
+    index and the kernel's 2C + 5), at most ``(2C + 7) * BLOCK_CELLS``
+    floats, plus one bool slab.
     """
     base = mstate.states[0]
     m, c_count = len(base.unlabeled), mstate.class_count
     if block_rows(m, c_count) == m:
         return None
     d = base.checked_diagonal()
-    operands = _, weights, values, scaled = _table_operands(mstate, StrategyKind.TSA, d, decisions, None)
-    if not (np.isfinite(values).all() and np.isfinite(scaled).all()):
+    terms, weights, operands = _one_vs_rest_table(mstate, StrategyKind.TSA, d, decisions, None)
+    if not all(np.isfinite(v).all() for v in operands):
         return None
-    order = np.argsort(-(1.0 - weights.max(axis=1)), kind="stable")
-
-    def terms(gk, cols, rows, own, slabs):
-        _denominators(gk, d[rows], d[cols, None], own, out=slabs[2 * c_count + 1])
-        mask = np.empty(gk.shape, dtype=bool)
-        v_q, v_k = values[:, None, rows], scaled[:, cols, None]
-        for contrib in _outcome_terms(True, gk, d[rows], v_q, v_k, own, slabs, gk, mask):
-            yield contrib.sum(axis=0)
-
-    def exact_rows(candidates):
-        return _multiclass_rows(base, d, operands, candidates)
-
+    order = np.argsort(-(1.0 - weights.max(axis=0)), kind="stable")
     floor = -(c_count + 2) * np.finfo(float).eps
-    return bound_sweep(base, d, c_count, order, weights.T, terms, exact_rows, slabs=2 * c_count + 4, term_floor=floor)
+    return bound_sweep(base, d, c_count, order, weights, terms, slabs=2 * c_count + 5, term_floor=floor)
 
 
 @dataclass(frozen=True)

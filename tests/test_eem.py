@@ -196,6 +196,37 @@ def test_nan_in_the_inverse_is_reported_not_spread():
         tsa_risk_table(with_inverse(g), f)
 
 
+def test_a_vanishing_denominator_is_named_alike_in_every_layout():
+    # One denominator G_kk - G_jk^2 / G_jj rounds to about 0 (G_kj keeps its
+    # value, so (k, j) stays healthy).  A table's candidate-major blocks, a
+    # bound-sweep chunk read node-major and the one-row lookahead all name
+    # that (candidate, node) pair.
+    state = init_label_state(build_laplacian(random_connected_graph(np.random.default_rng(5), 30, 30)), [0], [1.0])
+    m = len(state.unlabeled)
+    j, k = 4, m - 3
+    g = state.inverse.copy()
+    g[j, k] = np.sqrt(g[j, j] * g[k, k])
+    flat = LabelState(state.lap, state.labeled, state.labels, state.unlabeled, g)
+    f = tsa_marginals(state).values
+    want = f"lookahead denominator vanished for candidate {state.unlabeled[j]} at node {state.unlabeled[k]}"
+
+    rows, cols = np.arange(m), np.array([0, k, j])  # every candidate, a chunk of three nodes
+    chunk = g[np.ix_(rows, cols)].T  # chunk[c, q] = G_qk for node cols[c]
+
+    def node_major():
+        eem.lookahead_denominators(flat, np.diag(g), chunk, rows[None, :], cols[:, None],
+                                   (np.arange(cols.size), cols), np.empty(chunk.shape))
+
+    for form in (
+        lambda: tsa_risk_table(flat, f),
+        node_major,
+        lambda: tsa_lookahead_decisions(flat, f, state.unlabeled[j], 1.0),
+    ):
+        with pytest.raises(DegeneracyError) as got:
+            form()
+        assert str(got.value) == want
+
+
 # --- lookahead risk and the all-candidates tables ----------------------------
 
 

@@ -181,6 +181,17 @@ def test_dataset_validation():
         Dataset(name="bad", graph=ds.graph, labels=np.array([0, 1, 2, 3]), class_count=2)
 
 
+@pytest.mark.parametrize("class_count", [2, 3])
+def test_dataset_rejects_a_class_id_that_is_not_a_whole_number(class_count):
+    # Checked through int(), 1.5 passes as class 1; a binary run then takes
+    # the node as class 0 (it is not == 1), a three-class one fails mid-run.
+    graph = gen_chain(6, 0).graph
+    with pytest.raises(InputError, match=r"^class id 1\.5 is not a whole number$"):
+        Dataset("x", graph, np.array([1, 1, 1.5, 0, 0, 0]), class_count)
+    with pytest.raises(InputError, match="^class id nan is not a whole number$"):
+        Dataset("x", graph, np.array([1, 1, np.nan, 0, 0, 0]), class_count)
+
+
 # --- trials -------------------------------------------------------------------
 
 

@@ -274,10 +274,18 @@ def test_a_nan_decision_value_fails_clearly(monkeypatch, classes):
     with pytest.raises(DegeneracyError) as got:
         select(broken)
     assert str(got.value) == str(want.value)
-    # Binary: node 8's NaN reaches every candidate's row.  One-vs-rest: a
-    # NaN row sum falls back to uniform, and only candidate 8's own outcome
-    # weights carry the NaN.
-    assert str(want.value) == f"score of candidate {1 if classes == 1 else 8} is NaN"
+    # Node 8's NaN reaches every candidate's row, binary and one-vs-rest: a
+    # NaN row sum is not read as a row with no signal.
+    assert str(want.value) == "score of candidate 1 is NaN"
+
+
+def test_a_nan_harmonic_value_fails_clearly_in_a_one_vs_rest_zlg_table():
+    tsa = session_after(ring(30), [0], [1.0], 0, np.random.default_rng(0), 3)
+    h = tsa.harmonics.copy()
+    h[7] = np.nan
+    broken = strategies.replace(tsa, kind=StrategyKind.ZLG, decisions=None, harmonics=h)
+    with pytest.raises(DegeneracyError, match="score of candidate 1 is NaN"):
+        select(broken)
 
 
 @pytest.mark.parametrize("pick_node", ["later-node", "first-swept-node"])  # the bound sweep's first column
@@ -331,9 +339,9 @@ def test_pruned_binary_selection_scratch_is_bounded_by_the_cell_budget():
 
 @pytest.mark.parametrize("classes", [3, 6])
 def test_pruned_one_vs_rest_selection_scratch_is_bounded_by_the_cell_budget(monkeypatch, classes):
-    # With 4 rows a block and 4 nodes a chunk, the sweep holds 2C + 6
+    # With 4 rows a block and 4 nodes a chunk, the sweep holds 2C + 7
     # node-major slabs of 4 |u| cells (the chunk's G_qk, its index and the
-    # kernel's 2C + 4), bool masks worth C / 4 + 1/8 more, and about a dozen
+    # kernel's 2C + 5), bool masks worth C / 4 + 1/8 more, and about a dozen
     # |u|-vectors per class; the guard's slab, and the survivors' table of
     # 2C + 5 slabs, come before and after it.  Broadcasting passes buffer up
     # to two operands.  A |u|^2 temporary (89,401 doubles here) would not fit.
