@@ -14,14 +14,17 @@ one-step update from the maintained inverse ``G`` (no refactorization):
                             / (G_kk - G_kq^2 / G_qq)
 
 so one selection sweep costs O(|u|^2).  Each risk table (binary tsa and
-zlg here, one-vs-rest in ``strategies``) is one kernel that yields a block
-of per-node terms per outcome in any layout, run by two drivers:
-:func:`table_rows` sweeps the candidates in cache-friendly row blocks for
-exact entries, and :func:`bound_sweep` sweeps node-major chunks for
-bounds.  The tsa table's per-node risk ``min(p, 1-p) = 1 / (1 + exp|f+|)``
-comes from ``inference._logistic_tail``, the vectorized-``exp`` kernel
-behind ``sigmoid``; its bits differ from ``scipy.special.expit`` by a few
-ULP, the choices made from it do not.
+zlg here, one-vs-rest in ``strategies``) is one :class:`RiskTable` record:
+a kernel that yields a block of per-node terms per outcome in any layout,
+its outcome weights and what the bound sweep needs.  Two drivers run every
+kernel: :func:`table_rows` sweeps the candidates in cache-friendly row
+blocks for exact entries, and :func:`bound_sweep` sweeps node-major chunks
+for bounds.  The public tables are :meth:`RiskTable.rows`, the one place
+that scales by ``/ n`` and answers a state with no candidate.  The tsa
+table's per-node risk ``min(p, 1-p) = 1 / (1 + exp|f+|)`` comes from
+``inference._logistic_tail``, the vectorized-``exp`` kernel behind
+``sigmoid``; its bits differ from ``scipy.special.expit`` by a few ULP, the
+choices made from it do not.
 
 The tsa selection needs only the minimizer, and a candidate's risk is a sum
 of nonnegative per-node terms, so a partial sum is a lower bound.
@@ -30,11 +33,11 @@ descending order of current risk, a chunk of nodes at a time, scores
 exactly the candidate with the smallest bound after each chunk, and drops
 every candidate whose bound exceeds that best score plus the tie tolerance
 (lazy evaluation, Minoux 1978).  Only the survivors get exact rows.
-:func:`tsa_survivors` and ``strategies.multiclass_tsa_survivors`` hand it
-their table's kernel, so a term of the sweep is the same float operations
-on the same operands as the table's term; only ``exp`` (a different kernel
-may differ by a few ULP) and the order of the additions differ, and
-``ROUNDING_MARGIN`` covers both.  A caller whose terms can round below 0
+:func:`survivors`, its one caller, hands it the table's own record, binary
+or one-vs-rest, so a term of the sweep is the same float operations on the
+same operands as the table's term; only ``exp`` (a different kernel may
+differ by a few ULP) and the order of the additions differ, and
+``ROUNDING_MARGIN`` covers both.  A record whose terms can round below 0
 names their floor.  zlg keeps the full tables: its per-node terms stay
 large far from the labels, so its bounds prune almost nothing.
 
@@ -45,6 +48,9 @@ tsa branch still calls ``scipy.special.expit``); with
 oracle for the fast routes.
 """
 from __future__ import annotations
+
+from collections.abc import Callable, Sequence
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.special
@@ -68,7 +74,7 @@ SWEEP_BUDGET = 0.5  # bound-sweep cells, as a share of the |u|^2 table, after wh
 # Relative slack on the pruning cutoff.  A bound and the exact entry sum the
 # same terms, up to a few ULP of ``exp`` each, in different orders; each sum is
 # within (|u| - 1) eps of the exact real sum, so the slack holds for |u| < 4e6.
-# It also covers the 1 ulp between the sweep's ``* (1 / n)`` and a table's ``/ n``.
+# It also covers the 1 ulp between the sweep's ``* (1 / n)`` and every table's ``/ n``.
 ROUNDING_MARGIN = 1e-9
 
 
@@ -168,12 +174,37 @@ def lookahead_risk(state: LabelState, kind: MarginalKind, q: int) -> float:
 
 
 def block_rows(m: int, classes: int = 1) -> int:
-    """Rows per block of ``m`` candidates: ``max(1, min(BLOCK // C, BLOCK_CELLS // m))``."""
-    return min(m, max(1, min(BLOCK // classes, BLOCK_CELLS // m)))
+    """Rows per block of ``m`` candidates: ``max(1, min(BLOCK // C, BLOCK_CELLS // m))``, 0 if ``m`` is."""
+    return min(m, max(1, min(BLOCK // classes, BLOCK_CELLS // max(m, 1))))
 
 
-def table_rows(state: LabelState, terms, weights, slabs: int, classes: int = 1,
-               candidates: np.ndarray | None = None) -> np.ndarray:
+@dataclass(frozen=True)
+class RiskTable:
+    """One risk table: the kernel ``terms`` (see :func:`table_rows`), its
+    ``slabs`` of scratch, ``weights[b]``, each candidate's probability of
+    outcome b, the class count (1 for binary) and ``d``, the checked
+    ``diag(G)`` of ``state``.  For :func:`survivors`: ``uncertainty()``,
+    each node's current risk, orders the sweep (None: never pruned),
+    ``finite`` holds the operands a bound needs finite, and ``term_floor``
+    (<= 0) is the least a term can round to.
+    """
+
+    state: LabelState
+    d: np.ndarray
+    terms: Callable
+    weights: Sequence[np.ndarray]
+    slabs: int
+    classes: int = 1
+    uncertainty: Callable[[], np.ndarray] | None = None
+    finite: tuple = ()
+    term_floor: float = 0.0
+
+    def rows(self, candidates: np.ndarray | None = None) -> np.ndarray:
+        """The entries ``table_rows(self, candidates) / n``; empty with no candidate."""
+        return table_rows(self, candidates) / self.state.n if self.state.unlabeled else np.zeros(0)
+
+
+def table_rows(table: RiskTable, candidates: np.ndarray | None = None) -> np.ndarray:
     """A risk table's unscaled entries ``sum_b weights[b][q] * sum_k
     term_b(q, k)`` at the positions ``candidates`` (all when None).
 
@@ -192,11 +223,11 @@ def table_rows(state: LabelState, terms, weights, slabs: int, classes: int = 1,
     full table's entries (a negative position counts from the end, one at
     or past |u| raises ``IndexError``, as in numpy indexing).
     """
-    m = len(state.unlabeled)
-    g = state.inverse
+    m = len(table.state.unlabeled)
+    g, terms = table.state.inverse, table.terms
     count = m if candidates is None else len(candidates)
-    step = block_rows(m, classes)
-    work = np.empty((slabs, min(step, count), m))
+    step = block_rows(m, table.classes)
+    work = np.empty((table.slabs, min(step, count), m))
     k = np.arange(m)[None, :]
     risk = np.zeros(count)
 
@@ -209,7 +240,7 @@ def table_rows(state: LabelState, terms, weights, slabs: int, classes: int = 1,
         out = slice(q0, min(q0 + step, count))
         rows = np.arange(q0, out.stop) if candidates is None else candidates[out]
         for b, t in enumerate(terms(gather, rows[:, None], k, (np.arange(rows.size), rows), work[:, :rows.size])):
-            risk[out] += weights[b][rows] * t.sum(axis=1)
+            risk[out] += table.weights[b][rows] * t.sum(axis=1)
     return risk
 
 
@@ -237,10 +268,20 @@ def lookahead_denominators(state: LabelState, d, g_qk, q, k, own, out) -> np.nda
     return out
 
 
-def _tsa_table(state: LabelState, d, f) -> tuple:
-    """The binary tsa table's kernel, its outcome weights, and the
-    coefficients ``(a, b_plus, b_minus)`` the sweep needs finite (see
-    :func:`tsa_risk_table`)."""
+def tsa_table(state: LabelState, f: np.ndarray | None = None) -> RiskTable:
+    """The binary tsa risk table of the decision values ``f`` (None: computed).
+
+    Vectorizes the closed-form decision-value update over all (q, k) pairs:
+    the denominator ``G_kk - G_qk^2/G_qq`` is shared by both label branches,
+    and the numerator is ``G_kk f_k + b_y(q) G_qk`` with a per-candidate
+    coefficient ``b_y(q) = 2y/G_qq - f_q``.  Candidate q reads row q of
+    ``G``.  The sweep orders the nodes by current risk ``1 / (1 +
+    exp|f_k|)`` and needs the coefficients finite; the terms are logistic
+    tails, never negative.
+    """
+    d = state.checked_diagonal()
+    if f is None:
+        f = tsa_marginals(state).values
     a, b_plus, b_minus = d * f, 2.0 / d - f, -2.0 / d - f
     w_plus = sigmoid(f)
 
@@ -260,63 +301,46 @@ def _tsa_table(state: LabelState, d, f) -> tuple:
             t[own] = 0.0
             yield t
 
-    return terms, (w_plus, 1.0 - w_plus), (a, b_plus, b_minus)
+    return RiskTable(state, d, terms, (w_plus, 1.0 - w_plus), 2, finite=(a, b_plus, b_minus),
+                     uncertainty=lambda: _logistic_tail(np.abs(f), out=np.empty(f.size)))
 
 
-def tsa_risk_table(
-    state: LabelState, f: np.ndarray | None = None, candidates: np.ndarray | None = None
-) -> np.ndarray:
-    """Expected post-query risk of every unlabeled candidate (TSA route).
+def tsa_risk_table(state: LabelState, f: np.ndarray | None = None,
+                   candidates: np.ndarray | None = None) -> np.ndarray:
+    """Expected post-query risk of every unlabeled candidate (TSA route),
+    or of the positions ``candidates`` in ``state.unlabeled``, each bitwise
+    the full table's: the rows of :func:`tsa_table`."""
+    return tsa_table(state, f).rows(candidates)
 
-    Vectorizes the closed-form decision-value update over all (q, k) pairs:
-    the denominator ``G_kk - G_qk^2/G_qq`` is shared by both label branches,
-    and the numerator is ``G_kk f_k + b_y(q) G_qk`` with a per-candidate
-    coefficient ``b_y(q) = 2y/G_qq - f_q``.  Candidate q reads row q of
-    ``G``, swept in blocks by :func:`table_rows`.  With ``candidates``, an
-    index array of positions in ``state.unlabeled``, only those entries are
-    computed, each bitwise equal to the full table's.
+
+def survivors(state: LabelState, classes: int, build) -> np.ndarray | None:
+    """Positions of the candidates whose exact risk may tie the minimum of
+    the table ``build()`` returns, binary (``classes`` 1) or one-vs-rest:
+    the one caller of :func:`bound_sweep`, most uncertain nodes first.
+
+    None where pruning is not tried: a table of one block (the sweep would
+    cost as much as the table) or of no candidate, decided from |u| and
+    ``classes`` before any record is built; a table without
+    ``uncertainty``; and ``finite`` operands that are not (a NaN term could
+    hide in an unswept node; the table shows it).
     """
     m = len(state.unlabeled)
-    if m == 0:
-        return np.zeros(0)
-    d = state.checked_diagonal()
-    if f is None:
-        f = tsa_marginals(state).values
-    terms, weights, _ = _tsa_table(state, d, f)
-    return table_rows(state, terms, weights, 2, candidates=candidates) * (1.0 / state.n)
-
-
-def tsa_survivors(state: LabelState, f: np.ndarray) -> np.ndarray | None:
-    """Positions of the candidates whose exact tsa risk may tie the minimum.
-
-    The binary caller of :func:`bound_sweep`, with the table's own kernel.
-    Returns None where pruning is not tried: a table of one block (the
-    sweep would cost as much as the table) and coefficients that are not
-    all finite (a NaN term could hide in an unswept node; the table shows
-    it).  Nodes are taken in descending order of current risk ``1 / (1 +
-    exp|f_k|)``.  The terms are logistic tails, never negative.
-    """
-    m = len(state.unlabeled)
-    if block_rows(m) == m:
+    if block_rows(m, classes) == m:
         return None
-    d = state.checked_diagonal()
-    terms, weights, coeffs = _tsa_table(state, d, f)
-    if not all(np.isfinite(v).all() for v in coeffs):
+    table = build()
+    if table.uncertainty is None or not all(np.isfinite(v).all() for v in table.finite):
         return None
-    order = np.argsort(-_logistic_tail(np.abs(f), out=np.empty(m)), kind="stable")
-    return bound_sweep(state, d, 1, order, weights, terms, slabs=2)
+    return bound_sweep(table, np.argsort(-table.uncertainty(), kind="stable"))
 
 
-def bound_sweep(state: LabelState, d, classes: int, order, weights, terms, slabs: int,
-                term_floor: float = 0.0) -> np.ndarray:
+def bound_sweep(table: RiskTable, order) -> np.ndarray:
     """The one bound-then-verify sweep: positions of the candidates whose
-    exact risk may tie the minimum of a risk table.
+    exact risk may tie the minimum of ``table``.
 
-    The table is ``table_rows(state, terms, weights, slabs, classes) / n``:
-    candidate q's entry is ``sum_b weights[b][q] * sum_k term_b(q, k) / n``
+    Candidate q's entry is ``sum_b weights[b][q] * sum_k term_b(q, k) / n``
     over outcomes b and nodes k, the weights of a candidate summing to 1
-    and every term at least ``term_floor`` (<= 0).  ``d`` is the checked
-    ``diag(G)`` and ``order`` every node position, most uncertain first.
+    and every term at least ``term_floor``.  ``order`` holds every node
+    position, most uncertain first.
 
     1. Guard: every lookahead denominator is checked in the table's own
        block order, so a degenerate state raises exactly what the table
@@ -345,9 +369,10 @@ def bound_sweep(state: LabelState, d, classes: int, order, weights, terms, slabs
     ``width * |u|`` cells (``G_qk``, the gather index and the kernel's).
     The survivors are the live candidates, scored ones included.
     """
+    state, terms, weights, slabs = table.state, table.terms, table.weights, table.slabs
     m = len(order)
     g = state.inverse
-    _guard(state, d, classes)
+    _guard(table)
     width = min(SWEEP_COLUMNS, max(1, BLOCK_CELLS // m))
     rank = np.empty(m, dtype=np.intp)
     rank[order] = np.arange(m)
@@ -381,10 +406,10 @@ def bound_sweep(state: LabelState, d, classes: int, order, weights, terms, slabs
         pos += cols.size
 
         i = rows[np.argmin(bound[rows])]
-        bound[i] = table_rows(state, terms, weights, slabs, classes, np.array([i]))[0] * inv_n
+        bound[i] = table_rows(table, np.array([i]))[0] * inv_n
         scored[i] = True
         best = min(best, bound[i])
-        cutoff = (best + tie * max(1.0, abs(best))) * (1.0 + ROUNDING_MARGIN) - term_floor * (m - pos) * inv_n
+        cutoff = (best + tie * max(1.0, abs(best))) * (1.0 + ROUNDING_MARGIN) - table.term_floor * (m - pos) * inv_n
         live[bound > cutoff] = False
         rows = np.flatnonzero(live & ~scored)
         if rows.size <= width or spent >= SWEEP_BUDGET * m * m:
@@ -392,26 +417,21 @@ def bound_sweep(state: LabelState, d, classes: int, order, weights, terms, slabs
     return np.flatnonzero(live)
 
 
-def _guard(state: LabelState, d, classes: int) -> None:
-    """Check every lookahead denominator in the order of a table's blocks."""
+def _guard(table: RiskTable) -> None:
+    """Check every lookahead denominator in the order of the table's blocks."""
 
     def denominators(gather, q, k, own, scratch):
-        lookahead_denominators(state, d, gather(scratch[0]), q, k, own, scratch[0])
+        lookahead_denominators(table.state, table.d, gather(scratch[0]), q, k, own, scratch[0])
         return ()
 
-    table_rows(state, denominators, (), 1, classes)
+    table_rows(replace(table, terms=denominators, weights=(), slabs=1))
 
 
-def zlg_risk_table(state: LabelState, h: np.ndarray | None = None) -> np.ndarray:
-    """Expected post-query risk of every candidate under harmonic marginals.
-
-    Same driver as :func:`tsa_risk_table`; here the updated value is
-    ``h_k + (y - h_q) G_qk / G_qq`` and per-node risk is ``(1 - |h+|)/2``
-    after clamping.
+def zlg_table(state: LabelState, h: np.ndarray | None = None) -> RiskTable:
+    """The binary zlg risk table, from the harmonic values ``h`` (computed
+    when None): the updated value is ``h_k + (y - h_q) G_qk / G_qq`` and the
+    per-node risk ``(1 - |h+|)/2`` after clamping.  Never pruned.
     """
-    m = len(state.unlabeled)
-    if m == 0:
-        return np.zeros(0)
     d = state.checked_diagonal()
     if h is None:
         h = lp_harmonic(state)
@@ -430,7 +450,13 @@ def zlg_risk_table(state: LabelState, h: np.ndarray | None = None) -> np.ndarray
             yield hp
 
     w_plus = (np.clip(h, -1.0, 1.0) + 1.0) / 2.0
-    return table_rows(state, terms, (w_plus, 1.0 - w_plus), 2) * (1.0 / state.n)
+    return RiskTable(state, d, terms, (w_plus, 1.0 - w_plus), 2)
+
+
+def zlg_risk_table(state: LabelState, h: np.ndarray | None = None) -> np.ndarray:
+    """Expected post-query risk of every candidate under harmonic
+    marginals: the rows of :func:`zlg_table`."""
+    return zlg_table(state, h).rows()
 
 
 def argmin_ties(values: np.ndarray, rng: np.random.Generator | None = None, nodes=None) -> int:

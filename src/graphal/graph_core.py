@@ -246,9 +246,10 @@ class LabelState:
 
         Contiguous because the risk sweeps broadcast it against every row
         block; the strided view of ``np.diag`` makes that broadcast slower.
+        Empty when no node is unlabeled.
         """
         d = self.inverse.diagonal().copy()
-        if not d.min() > self.singular_floor:  # a NaN fails too; argmin names the first
+        if d.size and not d.min() > self.singular_floor:  # a NaN fails too; argmin names the first
             bad = self.unlabeled[int(np.argmin(d))]
             raise DegeneracyError("inverse diagonal vanished at node {}", bad)
         return d

@@ -25,10 +25,10 @@ One-vs-rest runs C of these binary rules over one shared partition and
 inverse, on the binary code: the harmonics are :func:`lp_harmonic` of an
 (|l|, C) label matrix, a commit is one :func:`downdate_inverse` followed by
 ``_one_vs_rest``, and both session kinds roll their vectors by ``_roll``.
-Only the risk table has its own one-vs-rest arithmetic, one kernel
-(:func:`_one_vs_rest_table`) run by the binary tables' two drivers:
-``eem.table_rows`` for exact entries and, for tsa's pruning,
-``eem.bound_sweep``.
+Only the risk table has its own one-vs-rest arithmetic: one kernel in an
+``eem.RiskTable`` record (:func:`one_vs_rest_table`), run by the binary
+tables' two drivers and read through the same ``RiskTable.rows``.  tsa
+selects of both session kinds prune through the one ``eem.survivors``.
 """
 from __future__ import annotations
 
@@ -42,13 +42,12 @@ from .config import DEFAULT_TOLERANCES
 from .errors import UsageError
 from .graph_core import LabelState, Laplacian, downdate_inverse, init_label_state, whole_numbers
 from .eem import (
+    RiskTable,
     argmin_ties,
-    block_rows,
-    bound_sweep,
     lookahead_denominators,
-    table_rows,
+    survivors,
     tsa_risk_table,
-    tsa_survivors,
+    tsa_table,
     zlg_risk_table,
     tsa_lookahead_decisions,
     zlg_lookahead_harmonic,
@@ -146,7 +145,7 @@ def _choose(kind: StrategyKind, state: LabelState, risk_table, rng) -> int:
 def next_query(session: BinarySession, rng: np.random.Generator | None = None) -> int:
     """Choose the next node to query; near-ties break uniformly via ``rng``.
 
-    For tsa, :func:`~graphal.eem.tsa_survivors` first prunes on partial risk
+    For tsa, :func:`~graphal.eem.survivors` first prunes on partial risk
     sums, and one :func:`tsa_risk_table` call scores the survivors exactly.
     A pruned candidate reads +inf: its bound, a partial sum of its
     nonnegative per-node terms, exceeds an exactly scored risk plus the
@@ -160,7 +159,7 @@ def next_query(session: BinarySession, rng: np.random.Generator | None = None) -
     def risk_table():
         if session.kind is StrategyKind.ZLG:
             return zlg_risk_table(state, h=session.harmonic)
-        keep = tsa_survivors(state, session.decisions)
+        keep = survivors(state, 1, lambda: tsa_table(state, session.decisions))
         return _spread(keep, tsa_risk_table(state, f=session.decisions, candidates=keep), state)
 
     return _choose(session.kind, state, risk_table, rng)
@@ -334,26 +333,68 @@ def _harmonic_prob(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
-def _one_vs_rest_table(mstate: MulticlassState, kind: StrategyKind, d, decisions, harmonics) -> tuple:
-    """``(terms, weights, operands)`` of the one-vs-rest risk table.
+def one_vs_rest_table(mstate: MulticlassState, kind: StrategyKind, decisions=None, harmonics=None) -> RiskTable:
+    """The one-vs-rest tsa or zlg risk table, from the (|u|, C) per-class
+    ``decisions`` or ``harmonics`` (computed when None).
 
-    ``terms`` is its kernel (see ``eem.table_rows``), ``weights`` (C, |u|)
-    the outcome probabilities, and ``operands`` the per-class values and
-    the per-node operand, both (C, |u|), which the sweep needs finite: the
-    values themselves for zlg, ``d_k f_k^c`` for tsa.
+    The lookahead enumerates the candidate's possible observed classes b,
+    weighted by its current class probabilities; outcome b hands +1 to the
+    class-b run and -1 to every other run.  Because each run's one-step
+    update is affine in its hypothetical label, the C outcome branches
+    share one A +/- B decomposition per candidate:
+
+        updated_value[k, c] = A[k, c] + B[k] if c == b else A[k, c] - B[k]
+
+    giving O(|u| C) per candidate, O(|u|^2 C) per sweep.  Let ``S-`` and
+    ``S+`` be the per-class scores of A - B and A + B.  For outcome b only
+    column b changes (to ``S+``), so each node's row sum is patched from
+    the row sum of ``S-``.  The row max, ``max(S+[b], max_{c != b} S-[c])``,
+    equals ``max(top1, S+[b])`` with ``top1 = max_c S-[c]`` wherever the
+    computed ``S+[b] >= S-[b]``, as it is wherever ``G_qk >= 0`` (positive
+    weights).  The other entries, such as the +/-1e-15 that downdates leave
+    where the exact ``G_qk`` is 0, are patched with the exact max over the
+    other classes, so no sign of ``G`` is assumed.
+
+    ``eem.table_rows`` runs the kernel in blocks of ``rows = max(1,
+    min(BLOCK // C, BLOCK_CELLS // |u|))`` candidates, so a block's scratch
+    stays bounded as |u| grows: ``2C + 5`` float slabs of ``(rows, |u|)``,
+    allocated once per call, at most ``(2C + 5) * BLOCK_CELLS`` floats (2.6
+    MB at C=2, 3.7 MB at C=4) while |u| <= BLOCK_CELLS, plus one bool slab.
+    A subset's rows of ``G`` go into the ``maxes`` slab.
+
+    The entries are bitwise equal to the per-candidate form (kept in the
+    tests as the reference) because every quantity is computed by the
+    same float operations in the same order: candidate q reads row q of
+    ``G``; the class sum adds in class order 0..C-1, which is how numpy
+    sums a row of fewer than 8 values (from C = 8 on numpy sums pairwise
+    and the last bits may differ); the sum over nodes is one contiguous
+    numpy row sum per candidate, and the outcome terms are added in class
+    order.
+
+    zlg is never pruned.  The tsa sweep takes the nodes in descending
+    current risk ``1 - max_c p_kc / sum_c p_kc``, ``p = sigmoid(decisions)``,
+    and needs the per-class values and ``d_k f_k^c`` finite.  A term ``1 -
+    max/sum`` is 0 or more up to the rounding of its patched row sum
+    ``sum(S-) - S-[b] + S+[b]``, within (C + 1) ulp of the row's true sum
+    wherever ``S+[b]`` is not far below ``S-[b]`` (``G_qk >= 0`` up to
+    rounding, as for every graph with weights >= 0), so no term is below
+    the floor ``-(C + 2) eps``.  The sweep's scratch is 2C + 7 node-major
+    chunk slabs (the gathered ``G_qk``, its index and the kernel's 2C + 5),
+    at most ``(2C + 7) * BLOCK_CELLS`` floats, plus one bool slab.
     """
     base = mstate.states[0]
+    d = base.checked_diagonal()
     tsa = kind is StrategyKind.TSA
     if tsa:
         if decisions is None:
             decisions = multiclass_decisions(mstate)
         values = np.ascontiguousarray(decisions.T)
-        weights, per_node = _normalize_rows(sigmoid(decisions))[0], d * values
+        weights, per_node = _normalize_rows(sigmoid(decisions))[0].T, d * values
     elif kind is StrategyKind.ZLG:
         if harmonics is None:
             harmonics = multiclass_harmonics(mstate)
         values = per_node = np.ascontiguousarray(harmonics.T)
-        weights = _normalize_rows(_harmonic_prob(harmonics))[0]
+        weights = _normalize_rows(_harmonic_prob(harmonics))[0].T
     else:
         raise UsageError(f"{kind} has no expected-risk table")
     c_count = len(values)
@@ -416,7 +457,11 @@ def _one_vs_rest_table(mstate: MulticlassState, kind: StrategyKind, d, decisions
             contrib[own] = 0.0  # the queried node is observed under every outcome
             yield contrib
 
-    return terms, weights.T, (values, per_node)
+    if not tsa:  # zlg is never pruned
+        return RiskTable(base, d, terms, weights, 2 * c_count + 5, c_count)
+    floor = -(c_count + 2) * np.finfo(float).eps
+    return RiskTable(base, d, terms, weights, 2 * c_count + 5, c_count,
+                     uncertainty=lambda: 1.0 - weights.max(axis=0), finite=(values, per_node), term_floor=floor)
 
 
 def multiclass_risk_table(
@@ -426,84 +471,10 @@ def multiclass_risk_table(
     harmonics: np.ndarray | None = None,
     candidates: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Expected post-query multiclass risk of every candidate.
-
-    The lookahead enumerates the candidate's possible observed classes b,
-    weighted by its current class probabilities; outcome b hands +1 to the
-    class-b run and -1 to every other run.  Because each run's one-step
-    update is affine in its hypothetical label, the C outcome branches
-    share one A +/- B decomposition per candidate:
-
-        updated_value[k, c] = A[k, c] + B[k] if c == b else A[k, c] - B[k]
-
-    giving O(|u| C) per candidate, O(|u|^2 C) per sweep.  Let ``S-`` and
-    ``S+`` be the per-class scores of A - B and A + B.  For outcome b only
-    column b changes (to ``S+``), so each node's row sum is patched from
-    the row sum of ``S-``.  The row max, ``max(S+[b], max_{c != b} S-[c])``,
-    equals ``max(top1, S+[b])`` with ``top1 = max_c S-[c]`` wherever the
-    computed ``S+[b] >= S-[b]``, as it is wherever ``G_qk >= 0`` (positive
-    weights).  The other entries, such as the +/-1e-15 that downdates leave
-    where the exact ``G_qk`` is 0, are patched with the exact max over the
-    other classes, so no sign of ``G`` is assumed.
-
-    The table's kernel (:func:`_one_vs_rest_table`) runs through
-    ``eem.table_rows``, in blocks of ``rows = max(1, min(BLOCK // C,
-    BLOCK_CELLS // |u|))`` candidates, so a block's scratch stays bounded as
-    |u| grows: ``2C + 5`` float slabs of ``(rows, |u|)``, allocated once per
-    call, at most ``(2C + 5) * BLOCK_CELLS`` floats (2.6 MB at C=2, 3.7 MB
-    at C=4) while |u| <= BLOCK_CELLS, plus one bool slab.
-
-    With ``candidates``, an index array of positions in ``mstate.unlabeled``,
-    only those entries are computed, each bitwise equal to the full
-    table's, as for ``eem.tsa_risk_table``; their rows of ``G`` go into the
-    ``maxes`` slab.
-
-    The result is bitwise equal to the per-candidate form (kept in the
-    tests as the reference) because every quantity is computed by the
-    same float operations in the same order: candidate q reads row q of
-    ``G``; the class sum adds in class order 0..C-1, which is how numpy
-    sums a row of fewer than 8 values (from C = 8 on numpy sums pairwise
-    and the last bits may differ); the sum over nodes is one contiguous
-    numpy row sum per candidate, and the outcome terms are added in class
-    order.
-    """
-    base = mstate.states[0]
-    if not base.unlabeled:
-        raise UsageError("no unlabeled nodes left to query")
-    d = base.checked_diagonal()
-    terms, weights, _ = _one_vs_rest_table(mstate, kind, d, decisions, harmonics)
-    c_count = mstate.class_count
-    return table_rows(base, terms, weights, 2 * c_count + 5, c_count, candidates) / base.n
-
-
-def multiclass_tsa_survivors(mstate: MulticlassState, decisions: np.ndarray) -> np.ndarray | None:
-    """Positions of the candidates whose exact one-vs-rest tsa risk may tie
-    the minimum: the one-vs-rest caller of :func:`~graphal.eem.bound_sweep`,
-    with the table's own kernel.
-
-    Returns None, like :func:`~graphal.eem.tsa_survivors`, for a table of
-    one block and for values that are not all finite.  Nodes are taken in
-    descending current risk ``1 - max_c p_kc / sum_c p_kc``, ``p =
-    sigmoid(decisions)``.  A term ``1 - max/sum`` is 0 or more up to the
-    rounding of its patched row sum ``sum(S-) - S-[b] + S+[b]``, within (C
-    + 1) ulp of the row's true sum wherever ``S+[b]`` is not far below
-    ``S-[b]`` (``G_qk >= 0`` up to rounding, as for every graph with
-    weights >= 0), so no term is below the sweep's floor ``-(C + 2) eps``.
-    Scratch: 2C + 7 node-major chunk slabs (the gathered ``G_qk``, its
-    index and the kernel's 2C + 5), at most ``(2C + 7) * BLOCK_CELLS``
-    floats, plus one bool slab.
-    """
-    base = mstate.states[0]
-    m, c_count = len(base.unlabeled), mstate.class_count
-    if block_rows(m, c_count) == m:
-        return None
-    d = base.checked_diagonal()
-    terms, weights, operands = _one_vs_rest_table(mstate, StrategyKind.TSA, d, decisions, None)
-    if not all(np.isfinite(v).all() for v in operands):
-        return None
-    order = np.argsort(-(1.0 - weights.max(axis=0)), kind="stable")
-    floor = -(c_count + 2) * np.finfo(float).eps
-    return bound_sweep(base, d, c_count, order, weights, terms, slabs=2 * c_count + 5, term_floor=floor)
+    """Expected post-query multiclass risk of every candidate, or of the
+    positions ``candidates`` in ``mstate.unlabeled``, each bitwise the full
+    table's: the rows of :func:`one_vs_rest_table`."""
+    return one_vs_rest_table(mstate, kind, decisions, harmonics).rows(candidates)
 
 
 @dataclass(frozen=True)
@@ -527,7 +498,7 @@ def next_query_multiclass(
 ) -> int:
     """Same rule as :func:`next_query`, with the one-vs-rest risk table.
 
-    For tsa, :func:`multiclass_tsa_survivors` first prunes on partial risk
+    For tsa, :func:`~graphal.eem.survivors` first prunes on partial risk
     sums and one :func:`multiclass_risk_table` call scores the survivors
     exactly; a pruned candidate reads +inf, so the tied set, the choice
     and the ``rng`` draws are those of the full table (see
@@ -535,16 +506,16 @@ def next_query_multiclass(
     ``1 - max/sum`` of clipped harmonic values stay large far from the
     labels, so the bounds prune almost nothing.
     """
-    mstate = session.mstate
+    mstate, base = session.mstate, session.mstate.states[0]
 
     def risk_table():
         if session.kind is StrategyKind.ZLG:
             return multiclass_risk_table(mstate, session.kind, harmonics=session.harmonics)
-        keep = multiclass_tsa_survivors(mstate, session.decisions)
+        keep = survivors(base, mstate.class_count, lambda: one_vs_rest_table(mstate, session.kind, session.decisions))
         table = multiclass_risk_table(mstate, session.kind, decisions=session.decisions, candidates=keep)
-        return _spread(keep, table, mstate.states[0])
+        return _spread(keep, table, base)
 
-    return _choose(session.kind, mstate.states[0], risk_table, rng)
+    return _choose(session.kind, base, risk_table, rng)
 
 
 def update_multiclass(

@@ -36,6 +36,7 @@ from graphal.strategies import (
     init_multiclass,
     multiclass_risk_table,
     next_query,
+    next_query_multiclass,
     start_binary,
     start_multiclass,
     update,
@@ -387,6 +388,33 @@ def test_select_query_needs_candidates():
     exhausted = start_binary(downdate_inverse(state, 1, 1.0), StrategyKind.TSA)
     with pytest.raises(UsageError):
         next_query(exhausted)
+
+
+def test_a_fully_labeled_state_has_empty_tables_no_survivors_and_no_query():
+    # One empty rule: the diagonal and every risk table are empty, binary
+    # and one-vs-rest, and nothing is pruned (no record is even built);
+    # only the selection raises.
+    state = chain_state(3, [0, 1, 2], [1.0, -1.0, 1.0])
+    mstate = init_multiclass(state.lap, [0, 1, 2], [0, 1, 2], 3)
+    assert state.checked_diagonal().shape == (0,)
+
+    def build():
+        raise AssertionError("a table with no candidate needs no record")
+
+    assert eem.block_rows(0) == eem.block_rows(0, 3) == 0
+    assert eem.survivors(state, 1, build) is None
+    assert eem.survivors(mstate.states[0], 3, build) is None
+    for table in (
+        tsa_risk_table(state),
+        zlg_risk_table(state),
+        multiclass_risk_table(mstate, StrategyKind.TSA),
+        multiclass_risk_table(mstate, StrategyKind.ZLG),
+    ):
+        assert table.shape == (0,)
+    for session, select in ((start_binary(state, StrategyKind.TSA), next_query),
+                            (start_multiclass(mstate, StrategyKind.TSA), next_query_multiclass)):
+        with pytest.raises(UsageError, match="no unlabeled nodes left to query"):
+            select(session)
 
 
 def test_argmin_ties_tolerance_and_determinism():

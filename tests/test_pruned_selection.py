@@ -1,8 +1,8 @@
 """Bound-then-verify tsa selection: pruning never changes a choice.
 
 ``next_query`` and ``next_query_multiclass`` prune tsa candidates on
-partial risk sums (``eem.bound_sweep``, through ``eem.tsa_survivors`` and
-``strategies.multiclass_tsa_survivors``) and score only the survivors
+partial risk sums (``eem.bound_sweep``, through the one ``eem.survivors``,
+handed the table's ``eem.RiskTable`` record) and score only the survivors
 exactly.  These tests hold both to the full table: the same node, the same
 rng draws, survivor entries bitwise equal to the full table's, every pruned
 candidate above the minimum plus the tie tolerance, and the same errors on
@@ -93,9 +93,12 @@ def table(session, candidates=None):
 
 
 def survivors(session):
+    """The one survivors function on the session's tsa table."""
     if is_multiclass(session):
-        return strategies.multiclass_tsa_survivors(session.mstate, session.decisions)
-    return eem.tsa_survivors(session.state, session.decisions)
+        mstate = session.mstate
+        return eem.survivors(state_of(session), mstate.class_count,
+                             lambda: strategies.one_vs_rest_table(mstate, StrategyKind.TSA, session.decisions))
+    return eem.survivors(session.state, 1, lambda: eem.tsa_table(session.state, session.decisions))
 
 
 def select(session, rng=None):
@@ -242,11 +245,18 @@ def test_zlg_selects_score_the_full_table(monkeypatch, classes):
 
 
 @pytest.mark.parametrize("classes, side", [(1, 9), (3, 8), (6, 5)], ids=["binary", "one-vs-rest-3", "one-vs-rest-6"])
-def test_single_block_tables_are_not_pruned(classes, side):
+def test_single_block_tables_are_not_pruned(monkeypatch, classes, side):
     session = session_after(grid(side), [0], [1.0], 3, np.random.default_rng(1), classes)
     m = len(state_of(session).unlabeled)
     assert eem.block_rows(m, classes) == m
     assert survivors(session) is None
+    # Decided from |u| and C, so the select builds one table record, for
+    # the table's rows, and none for the sweep.
+    calls = []
+    diagonal = LabelState.checked_diagonal
+    monkeypatch.setattr(LabelState, "checked_diagonal", lambda self: calls.append(self) or diagonal(self))
+    select(session, np.random.default_rng(0))
+    assert len(calls) == 1
 
 
 @CLASSES
@@ -324,7 +334,7 @@ def test_pruned_binary_selection_scratch_is_bounded_by_the_cell_budget():
     # full block.
     session = block_session(0, 0)
     m = len(session.state.unlabeled)
-    assert eem.tsa_survivors(session.state, session.decisions).size > m // 3
+    assert survivors(session).size > m // 3
     assert 1 < eem.block_rows(m) < m
     budget = (1.1 * (eem.BLOCK_CELLS + 4 * eem.SWEEP_COLUMNS * m + 24 * m) + np.getbufsize()) * 8
     assert budget < m * m * 8
