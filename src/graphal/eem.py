@@ -33,6 +33,10 @@ descending order of current risk, a chunk of nodes at a time, scores
 exactly the candidate with the smallest bound after each chunk, and drops
 every candidate whose bound exceeds that best score plus the tie tolerance
 (lazy evaluation, Minoux 1978).  Only the survivors get exact rows.
+Before the sweep, a certificate read off ``diag(G)`` and ``G``'s upper
+triangle proves that no lookahead denominator can reach
+``singular_floor``; only where it fails are they all computed, so a
+degenerate state raises the full table's first error text.
 :func:`survivors`, its one caller, hands it the table's own record, binary
 or one-vs-rest, so a term of the sweep is the same float operations on the
 same operands as the table's term; only ``exp`` (a different kernel may
@@ -76,6 +80,9 @@ SWEEP_BUDGET = 0.5  # bound-sweep cells, as a share of the |u|^2 table, after wh
 # within (|u| - 1) eps of the exact real sum, so the slack holds for |u| < 4e6.
 # It also covers the 1 ulp between the sweep's ``* (1 / n)`` and every table's ``/ n``.
 ROUNDING_MARGIN = 1e-9
+# Largest certified correlation |G_qk| / sqrt((d_q - 2 floor)(d_k - 2 floor)):
+# the slack covers the certificate's own few roundings (see ``_certified``).
+CERTIFIED_CORRELATION = 1.0 - 1e-9
 
 
 def tsa_lookahead_decisions(state: LabelState, f: np.ndarray, q: int, y) -> np.ndarray:
@@ -342,9 +349,11 @@ def bound_sweep(table: RiskTable, order) -> np.ndarray:
     and every term at least ``term_floor``.  ``order`` holds every node
     position, most uncertain first.
 
-    1. Guard: every lookahead denominator is checked in the table's own
-       block order, so a degenerate state raises exactly what the table
-       raises.
+    1. Guard: :func:`_certified` proves, in about half the time it takes
+       to compute them, that no lookahead denominator can reach
+       ``singular_floor``.  Where it fails, :func:`_guard` checks every one
+       in the table's own block order, so a degenerate state raises
+       exactly what the table raises.
     2. Bounds: the nodes are summed in ``order``, in chunks of ``width *
        |u|`` cells, ``width = min(SWEEP_COLUMNS, BLOCK_CELLS // |u|)``:
        ``width`` nodes while every candidate is live, more as candidates
@@ -365,14 +374,17 @@ def bound_sweep(table: RiskTable, order) -> np.ndarray:
        gather, the index), so a select where nothing prunes costs about two
        tables.
 
-    Scratch: one guard slab of a table block, then ``slabs + 2`` slabs of
-    ``width * |u|`` cells (``G_qk``, the gather index and the kernel's).
+    Scratch: one certificate slab of ``max(BLOCK_CELLS, |u|)``
+    cells (or, on the fallback, the guard's slab of a table block), then
+    ``slabs + 2`` slabs of ``width * |u|`` cells (``G_qk``, the gather
+    index and the kernel's).
     The survivors are the live candidates, scored ones included.
     """
     state, terms, weights, slabs = table.state, table.terms, table.weights, table.slabs
     m = len(order)
     g = state.inverse
-    _guard(table)
+    if not _certified(table):
+        _guard(table)
     width = min(SWEEP_COLUMNS, max(1, BLOCK_CELLS // m))
     rank = np.empty(m, dtype=np.intp)
     rank[order] = np.arange(m)
@@ -415,6 +427,51 @@ def bound_sweep(table: RiskTable, order) -> np.ndarray:
         if rows.size <= width or spent >= SWEEP_BUDGET * m * m:
             break
     return np.flatnonzero(live)
+
+
+def _certified(table: RiskTable) -> bool:
+    """True if no lookahead denominator ``G_kk - G_qk^2 / G_qq`` of
+    ``table`` can reach ``singular_floor``; on False the caller runs
+    :func:`_guard`.
+
+    With ``f`` the floor and ``d = table.d``, it needs ``d.min() > 2f``,
+    sets ``v = 1 / sqrt(d - 2f)`` and checks ``|G_qk| v_k <=
+    CERTIFIED_CORRELATION / v_q`` for every ``q != k``.  The check rounds
+    a few times, far inside its 1e-9 slack, so if it holds then ``G_qk^2
+    <= (d_q - 2f)(d_k - 2f)`` and every exact denominator is
+
+        d_k - G_qk^2 / d_q >= d_k - (d_k - 2f)(1 - 2f / d_q) >= 2f.
+
+    A computed one is three roundings off, about ``3 eps max d`` (``eps =
+    2^-53``), or ``3e-4 f`` as ``f = 1e-12 max d``: none can reach ``f``.
+    The weights are per node: one global weight fails on well-posed states
+    whose diagonal spans a wide range.
+
+    ``G`` is bitwise symmetric, so only its upper triangle is read, in row
+    blocks ``G[q0:q1, q0:]`` of at most ``BLOCK_CELLS`` cells (one row where
+    a row is longer) through one scratch slab, the q == k entries zeroed,
+    up to the first block that fails.  A NaN or inf fails the comparison.
+    """
+    state, d = table.state, table.d
+    two_f = 2.0 * state.singular_floor
+    if not d.min() > two_f:  # a NaN floor fails too
+        return False
+    root = np.sqrt(d - two_f)
+    v, limit = 1.0 / root, CERTIFIED_CORRELATION * root
+    g, m = state.inverse, d.size
+    slab = np.empty(max(BLOCK_CELLS, m))
+    q0 = 0
+    while q0 < m:
+        q1 = min(m, q0 + max(1, BLOCK_CELLS // (m - q0)))
+        block = slab[:(q1 - q0) * (m - q0)].reshape(q1 - q0, m - q0)
+        np.multiply(g[q0:q1, q0:], v[q0:], out=block)
+        np.abs(block, out=block)
+        own = np.arange(q1 - q0)
+        block[own, own] = 0.0
+        if not (block.max(axis=1) <= limit[q0:q1]).all():
+            return False
+        q0 = q1
+    return True
 
 
 def _guard(table: RiskTable) -> None:

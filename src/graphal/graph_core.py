@@ -259,15 +259,6 @@ class LabelState:
         return self.lap.n
 
 
-def _check_labels(labels: np.ndarray) -> np.ndarray:
-    y = np.asarray(labels, dtype=float)
-    if y.ndim != 1:
-        raise InputError("labels must be a 1-d vector")
-    if not np.all(np.isin(y, (1.0, -1.0))):
-        raise InputError("labels must be +1 or -1")
-    return y
-
-
 def _spd_block_inverse(lap: Laplacian, nodes: tuple[int, ...]) -> np.ndarray:
     """``inv(L[nodes][:, nodes])`` of a positive-definite block, in one C-order buffer.
 
@@ -307,6 +298,31 @@ def whole_numbers(values, what: str, error: type[Exception] = InputError) -> lis
     return out
 
 
+def sorted_labeled(lap: Laplacian, labeled, labels) -> tuple[tuple[int, ...], np.ndarray]:
+    """The labeled nodes in ascending order and their labels in that order.
+
+    The one input check of a labeled set, shared by :func:`init_label_state`
+    and the enumeration oracle: nodes are whole numbers, distinct and in
+    ``0..n-1``, and ``labels`` is a +/-1 vector of one label per node, in
+    the nodes' given order.  Any failure is an :class:`InputError`.
+    """
+    nodes = whole_numbers(labeled, "labeled node")
+    order = np.argsort(nodes, kind="stable")
+    labeled = tuple(nodes[i] for i in order)
+    if len(set(labeled)) != len(labeled):
+        raise InputError("duplicate node in labeled set")
+    if labeled and (labeled[0] < 0 or labeled[-1] >= lap.n):
+        raise InputError(f"labeled nodes outside range 0..{lap.n - 1}")
+    y = np.asarray(labels, dtype=float)
+    if y.ndim != 1:
+        raise InputError("labels must be a 1-d vector")
+    if not np.all(np.isin(y, (1.0, -1.0))):
+        raise InputError("labels must be +1 or -1")
+    if len(y) != len(labeled):
+        raise InputError(f"{len(labeled)} labeled nodes but {len(y)} labels")
+    return labeled, y[order]
+
+
 def init_label_state(lap: Laplacian, labeled, labels) -> LabelState:
     """Construct a state from scratch, inverting ``L_uu`` once.
 
@@ -320,18 +336,9 @@ def init_label_state(lap: Laplacian, labeled, labels) -> LabelState:
     ``L_uu`` is numerically not positive definite or ``diag(G)`` overflows.
     The labeled nodes may come in any order; ``labels`` follows theirs.
     """
-    nodes = whole_numbers(labeled, "labeled node")
-    order = np.argsort(nodes, kind="stable")
-    labeled = tuple(nodes[i] for i in order)
+    labeled, y = sorted_labeled(lap, labeled, labels)
     if not labeled:
         raise InputError("need at least one labeled node")
-    if len(set(labeled)) != len(labeled):
-        raise InputError("duplicate node in labeled set")
-    if labeled[0] < 0 or labeled[-1] >= lap.n:
-        raise InputError(f"labeled nodes outside range 0..{lap.n - 1}")
-    y = _check_labels(labels)
-    if len(y) != len(labeled):
-        raise InputError(f"{len(labeled)} labeled nodes but {len(y)} labels")
 
     lab_set = set(labeled)
     if lap.ridge == 0.0:
@@ -342,7 +349,6 @@ def init_label_state(lap: Laplacian, labeled, labels) -> LabelState:
     unlabeled = tuple(v for v in range(lap.n) if v not in lab_set)
     inv = _spd_block_inverse(lap, unlabeled)
     inv.setflags(write=False)
-    y = y[order]
     y.setflags(write=False)
     return LabelState(lap=lap, labeled=labeled, labels=y, unlabeled=unlabeled, inverse=inv)
 

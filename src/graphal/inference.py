@@ -22,7 +22,7 @@ import scipy.special
 
 from .config import DEFAULT_ENUM_CAP, DEFAULT_TOLERANCES
 from .errors import CapacityError
-from .graph_core import LabelState, Laplacian, dense_laplacian
+from .graph_core import LabelState, Laplacian, dense_laplacian, sorted_labeled
 
 _CHUNK = 1 << 16
 
@@ -163,13 +163,14 @@ def exact_bmrf_marginals(
     and per-node log-mass accumulated with stable log-sum-exp.
 
     Deliberately independent of :class:`LabelState`'s maintained inverse:
-    this is the ground truth the fast paths are tested against.
+    this is the ground truth the fast paths are tested against.  Only the
+    input check is shared: the labeled set is held to
+    :func:`~graphal.graph_core.sorted_labeled`, as a state's is, though it
+    may be empty.
     """
-    nodes = [int(v) for v in labeled]
-    order = np.argsort(nodes, kind="stable")
-    labeled = tuple(nodes[i] for i in order)
-    y = np.asarray(labels, dtype=float)[order]
-    unlabeled = tuple(v for v in range(lap.n) if v not in set(labeled))
+    labeled, y = sorted_labeled(lap, labeled, labels)
+    lab_set = set(labeled)
+    unlabeled = tuple(v for v in range(lap.n) if v not in lab_set)
     m = len(unlabeled)
     if m > cap:
         raise CapacityError(

@@ -8,7 +8,7 @@ import scipy.special
 
 from graphal.config import DEFAULT_TOLERANCES
 from graphal.eem import tsa_risk_table
-from graphal.errors import CapacityError
+from graphal.errors import CapacityError, InputError
 from graphal.graph_core import build_laplacian, dense_laplacian, graph_from_edges, init_label_state
 from graphal.inference import (
     MarginalKind,
@@ -309,6 +309,34 @@ def test_exact_chunking_is_seamless():
     sidx = {v: i for i, v in enumerate(smaller.nodes)}
     for k in range(1, 10):
         assert abs(marg.prob_plus[idx[k]] - smaller.prob_plus[sidx[k]]) < 0.01
+
+
+@pytest.mark.parametrize(
+    "labeled,labels,match",
+    [
+        ([1.5], [1.0], "labeled node 1.5 is not a whole number"),
+        ([1, 1], [1.0, -1.0], "duplicate node"),
+        ([0], [0.5], "labels must be"),
+        ([0, 4], [1.0, -1.0], "outside range"),
+        ([0, 1], [1.0], "2 labeled nodes but 1 labels"),
+    ],
+)
+def test_exact_rejects_what_a_state_rejects(labeled, labels, match):
+    # One input check: a truncated id, a node labeled both ways or a label
+    # off +/-1 is an error in the oracle too, not a silently wrong answer.
+    lap = chain_state(4, [0], [1.0]).lap
+    with pytest.raises(InputError, match=match):
+        exact_bmrf_marginals(lap, labeled, labels)
+    with pytest.raises(InputError, match=match):
+        init_label_state(lap, labeled, labels)
+
+
+def test_exact_reads_labeled_nodes_in_any_order_and_whole_floats():
+    lap = chain_state(4, [0], [1.0]).lap
+    want = exact_bmrf_marginals(lap, [0, 3], [1.0, -1.0])
+    got = exact_bmrf_marginals(lap, [np.float64(3.0), 0], np.array([-1, 1]))
+    assert got.nodes == want.nodes == (1, 2)
+    assert np.array_equal(got.prob_plus, want.prob_plus)
 
 
 def test_exact_capacity_cap():

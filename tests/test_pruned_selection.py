@@ -8,7 +8,10 @@ rng draws, survivor entries bitwise equal to the full table's, every pruned
 candidate above the minimum plus the tie tolerance, and the same errors on
 degenerate states.  ``eem.BLOCK_CELLS`` is shrunk so that small graphs run
 several blocks and several chunks of the bound sweep.  ``classes`` is 1 for
-a binary session, C for a one-vs-rest one.
+a binary session, C for a one-vs-rest one.  The sweep's denominator
+certificate (``eem._certified``) is held to the guard it stands in for: it
+never passes a state the guard rejects, and on a typical graph it spares
+every select the guard.
 """
 import tracemalloc
 
@@ -40,13 +43,14 @@ PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=N
 CLASSES = pytest.mark.parametrize("classes", [1, 3], ids=["binary", "one-vs-rest-3"])
 
 
-def session_after(graph, labeled, labels, commits, rng, classes=1):
-    """A tsa session on ``graph`` after ``commits`` random commits.
+def session_after(graph, labeled, labels, commits, rng, classes=1, beta=1.0):
+    """A tsa session on ``graph`` (Laplacian strength ``beta``) after
+    ``commits`` random commits.
 
     ``labels`` are +/-1; one-vs-rest reads +1 as class 0 and -1 as class 1,
     and draws the other nodes' classes uniformly from all ``classes``.
     """
-    lap = build_laplacian(graph)
+    lap = build_laplacian(graph, beta=beta)
     if classes == 1:
         truth = np.where(rng.random(graph.n) < 0.5, 1.0, -1.0)
         truth[labeled] = labels
@@ -92,13 +96,17 @@ def table(session, candidates=None):
     return eem.tsa_risk_table(session.state, session.decisions, candidates=candidates)
 
 
+def record(session):
+    """The session's tsa ``eem.RiskTable``, as its select builds it."""
+    if is_multiclass(session):
+        return strategies.one_vs_rest_table(session.mstate, StrategyKind.TSA, session.decisions)
+    return eem.tsa_table(session.state, session.decisions)
+
+
 def survivors(session):
     """The one survivors function on the session's tsa table."""
-    if is_multiclass(session):
-        mstate = session.mstate
-        return eem.survivors(state_of(session), mstate.class_count,
-                             lambda: strategies.one_vs_rest_table(mstate, StrategyKind.TSA, session.decisions))
-    return eem.survivors(session.state, 1, lambda: eem.tsa_table(session.state, session.decisions))
+    classes = session.mstate.class_count if is_multiclass(session) else 1
+    return eem.survivors(state_of(session), classes, lambda: record(session))
 
 
 def select(session, rng=None):
@@ -114,8 +122,9 @@ def first_swept(session):
     return int(np.argmin(np.abs(f)))
 
 
-def ring(n):
-    return graph_from_edges(n, [(i, (i + 1) % n, 1.0) for i in range(n)])
+def ring(n, heavy=1.0):
+    """A ring of unit edges, but the edge (n // 2, n // 2 + 1) weighs ``heavy``."""
+    return graph_from_edges(n, [(i, (i + 1) % n, heavy if i == n // 2 else 1.0) for i in range(n)])
 
 
 def grid(side):
@@ -327,9 +336,10 @@ def test_a_vanishing_denominator_in_a_pruned_candidate_raises_like_the_table(cla
 
 def test_pruned_binary_selection_scratch_is_bounded_by_the_cell_budget():
     # The sweep holds three node-major chunk slabs of |u| * SWEEP_COLUMNS
-    # cells and an index slab, and a few |u|-vectors; the guard's slab and
-    # the survivors' rows, at most two slabs of a table block, come before
-    # and after it.  A |u|^2 temporary (87,616 doubles here) would not fit.
+    # cells and an index slab, and a few |u|-vectors; the denominator
+    # certificate's slab of BLOCK_CELLS cells and the survivors' rows, at
+    # most two slabs of a table block, come before and after it.  A |u|^2
+    # temporary (87,616 doubles here) would not fit.
     # A third of the candidates survive here, so the survivors' table runs a
     # full block.
     session = block_session(0, 0)
@@ -352,9 +362,10 @@ def test_pruned_one_vs_rest_selection_scratch_is_bounded_by_the_cell_budget(monk
     # With 4 rows a block and 4 nodes a chunk, the sweep holds 2C + 7
     # node-major slabs of 4 |u| cells (the chunk's G_qk, its index and the
     # kernel's 2C + 5), bool masks worth C / 4 + 1/8 more, and about a dozen
-    # |u|-vectors per class; the guard's slab, and the survivors' table of
-    # 2C + 5 slabs, come before and after it.  Broadcasting passes buffer up
-    # to two operands.  A |u|^2 temporary (89,401 doubles here) would not fit.
+    # |u|-vectors per class; the denominator certificate's slab of
+    # BLOCK_CELLS cells, and the survivors' table of 2C + 5 slabs, come
+    # before and after it.  Broadcasting passes buffer up to two operands.
+    # A |u|^2 temporary (89,401 doubles here) would not fit.
     # Risk is spread evenly here, so many candidates survive.
     session = session_after(random_connected_graph(np.random.default_rng(2), 300, 300), [0], [1.0], 0,
                             np.random.default_rng(2), classes)
@@ -372,3 +383,112 @@ def test_pruned_one_vs_rest_selection_scratch_is_bounded_by_the_cell_budget(monk
     finally:
         tracemalloc.stop()
     assert peak < budget, f"next_query_multiclass peak {peak / 8:.0f} doubles"
+
+
+def tampered(session, j, k, value):
+    """``session`` with ``G_jk = G_kj = value``: ``G`` stays bitwise
+    symmetric, as every state's is, and the certificate reads one triangle."""
+    state = state_of(session)
+    g = state.inverse.copy()
+    g[j, k] = g[k, j] = value
+    return with_state(session, LabelState(state.lap, state.labeled, state.labels, state.unlabeled, g))
+
+
+@st.composite
+def near_degenerate_sessions(draw, classes):
+    """States whose lookahead denominators approach the floor or cross it.
+
+    A heavy edge between two nodes far from the label drives their
+    correlation ``|G_qk| / sqrt(G_qq G_kk)`` towards 1; so does a tampered
+    pair ``G_jk = t sqrt(G_jj G_kk)``, t within 1e-17 to 1e-3 of 1 on either
+    side: the vanishing-denominator tests' state, made symmetric.
+    """
+    if draw(st.booleans()):
+        n = draw(st.integers(12, 60))
+        heavy = 10.0 ** draw(st.floats(0.0, 15.0))
+        return session_after(ring(n, heavy), [0], [1.0], 0, np.random.default_rng(n), classes)
+    session = draw(sessions(classes))
+    g = state_of(session).inverse
+    j, k = draw(st.lists(st.integers(0, len(g) - 1), min_size=2, max_size=2, unique=True))
+    t = 1.0 + draw(st.sampled_from((-1.0, 1.0))) * 10.0 ** -draw(st.floats(3.0, 17.0))
+    return tampered(session, j, k, t * np.sqrt(g[j, j] * g[k, k]))
+
+
+@CLASSES
+def test_the_certificate_never_passes_a_state_the_guard_rejects(classes):
+    seen = set()
+
+    @PROPERTY
+    @given(st.one_of(sessions(classes), near_degenerate_sessions(classes)))
+    def check(session):
+        table = record(session)
+        certified = eem._certified(table)
+        try:
+            eem._guard(table)
+        except DegeneracyError:
+            assert not certified
+            seen.add("rejected")
+        else:
+            seen.add("certified" if certified else "fell back")
+
+    check()
+    assert seen == {"certified", "fell back", "rejected"}  # every branch was drawn
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+@CLASSES
+def test_a_non_finite_entry_of_g_raises_the_guards_text(classes, value):
+    session = block_session(0, 2, classes)
+    m = len(state_of(session).unlabeled)
+    broken = tampered(session, 40, m - 3, value)
+    assert not eem._certified(record(broken))
+    with pytest.raises(DegeneracyError) as want:
+        table(broken)
+    with pytest.raises(DegeneracyError) as got:
+        select(broken)
+    assert str(got.value) == str(want.value)
+    assert str(want.value).startswith("lookahead denominator vanished for candidate")
+
+
+@CLASSES
+def test_a_diagonal_at_or_below_twice_the_floor_falls_back_to_the_guard(monkeypatch, classes):
+    # Every other node of a ring is labeled, so G is diagonal and every
+    # lookahead denominator is G_kk.  Two edges of weight 6e11 around node 1
+    # put G_11 at 1/1.2e12, between the floor (1e-12 of max G_kk = 1/2) and
+    # twice it: the certificate cannot start, and the guard passes.
+    n = 60
+    edges = [(i, (i + 1) % n, 6e11 if i in (0, 1) else 1.0) for i in range(n)]
+    labeled = list(range(0, n, 2))
+    session = session_after(graph_from_edges(n, edges), labeled, [1.0, -1.0] * (n // 4), 0,
+                            np.random.default_rng(0), classes)
+    state = state_of(session)
+    d = state.inverse.diagonal()
+    assert state.singular_floor < d.min() <= 2 * state.singular_floor
+    assert not eem._certified(record(session))
+    monkeypatch.setattr(eem, "BLOCK_CELLS", 3 * len(d))
+    calls = []
+    guard = eem._guard
+    monkeypatch.setattr(eem, "_guard", lambda t: calls.append(t) or guard(t))
+    check_pruned_selection(session, 0)
+    assert calls
+
+
+@CLASSES
+def test_the_certificate_is_scale_free_in_beta(classes):
+    graph = blocks(300, np.random.default_rng(0), max(2, classes))
+    for beta in (1e-6, 1e12):
+        session = session_after(graph, [0, 1, 150, 151], [1.0, 1.0, -1.0, -1.0], 2, np.random.default_rng(0),
+                                classes, beta=beta)
+        assert eem._certified(record(session)), beta
+
+
+@pytest.mark.parametrize("classes", [1, 3, 4], ids=["binary", "one-vs-rest-3", "one-vs-rest-4"])
+def test_block_graph_selects_never_run_the_guard(monkeypatch, classes):
+    def guard(table):
+        raise AssertionError("the denominator certificate failed on a well-posed state")
+
+    monkeypatch.setattr(eem, "_guard", guard)
+    for seed in range(3):
+        session = block_session(seed, 4, classes)
+        assert eem.block_rows(len(state_of(session).unlabeled), classes) < len(state_of(session).unlabeled)
+        check_pruned_selection(session, seed)
