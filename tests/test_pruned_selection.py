@@ -490,5 +490,6 @@ def test_block_graph_selects_never_run_the_guard(monkeypatch, classes):
     monkeypatch.setattr(eem, "_guard", guard)
     for seed in range(3):
         session = block_session(seed, 4, classes)
-        assert eem.block_rows(len(state_of(session).unlabeled), classes) < len(state_of(session).unlabeled)
+        m = len(state_of(session).unlabeled)
+        assert eem.block_rows(m, classes) < m
         check_pruned_selection(session, seed)
