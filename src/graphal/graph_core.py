@@ -211,7 +211,9 @@ class LabelState:
     """Partition of the nodes plus the maintained inverse of ``L_uu``.
 
     ``labeled`` and ``unlabeled`` are ascending node tuples; ``labels`` is
-    the +/-1 vector aligned with ``labeled``; ``inverse`` is the bitwise
+    aligned with ``labeled``: a +/-1 vector for a binary state, or a
+    C-order (|l|, C) +/-1 matrix whose column c holds one-vs-rest run c's
+    labels (``strategies.MulticlassState``); ``inverse`` is the bitwise
     symmetric ``G = inv(L_uu)``, rows/columns aligned with ``unlabeled``.
     Instances are immutable values; operations return new states.
     """
@@ -353,8 +355,12 @@ def init_label_state(lap: Laplacian, labeled, labels) -> LabelState:
     return LabelState(lap=lap, labeled=labeled, labels=y, unlabeled=unlabeled, inverse=inv)
 
 
-def downdate_inverse(state: LabelState, k: int, label: float) -> LabelState:
+def downdate_inverse(state: LabelState, k: int, label) -> LabelState:
     """Move node ``k`` from unlabeled to labeled, updating the inverse.
+
+    ``label`` is a +/-1 scalar for a state with a label vector, a length-C
+    +/-1 row for one with an (|l|, C) label matrix; it is inserted at
+    ``k``'s labeled position, and the result has ``state``'s type.
 
     Uses the rank-one Schur-complement identity: deleting row/column ``k``
     of ``L_uu`` turns ``G`` into ``G' = G - G_{.k} G_{k.} / G_kk`` restricted
@@ -379,8 +385,12 @@ def downdate_inverse(state: LabelState, k: int, label: float) -> LabelState:
     catch both.  ``state`` is left as it was.
     """
     qi = state.u_index(k)
-    if label not in (1.0, -1.0, 1, -1):
-        raise InputError(f"label must be +1 or -1, got {label}")
+    labels = state.labels
+    if labels.ndim == 1:
+        if getattr(label, "ndim", 0) or label not in (1.0, -1.0):  # constant time; a row is an error
+            raise InputError(f"label must be +1 or -1, got {label}")
+    elif np.shape(label) != labels.shape[1:] or not np.all(np.abs(label) == 1.0):
+        raise InputError(f"label must be a row of {labels.shape[1]} entries +1 or -1, got {label}")
     g = state.inverse
     pivot = g[qi, qi]
     if not pivot > state.singular_floor:
@@ -397,11 +407,11 @@ def downdate_inverse(state: LabelState, k: int, label: float) -> LabelState:
         ).T
     new_inv.setflags(write=False)
 
-    pos, labels = bisect.bisect_left(state.labeled, k), state.labels
-    new_labels = np.empty(labels.size + 1)
+    pos = bisect.bisect_left(state.labeled, k)
+    new_labels = np.empty((len(labels) + 1, *labels.shape[1:]))
     new_labels[:pos], new_labels[pos], new_labels[pos + 1:] = labels[:pos], label, labels[pos:]
     new_labels.setflags(write=False)
-    return LabelState(
+    return type(state)(
         state.lap,
         state.labeled[:pos] + (k,) + state.labeled[pos:],
         new_labels,

@@ -103,17 +103,17 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
     return x[()] if x.ndim == 0 else x
 
 
-def lp_harmonic(state: LabelState, labels: np.ndarray | None = None) -> np.ndarray:
+def lp_harmonic(state: LabelState) -> np.ndarray:
     """Harmonic interpolation of the labels: ``h = -G @ (L_ul y_l)``.
 
     Solves the label-propagation system; each unlabeled value is the
     weighted average of its neighbors, with labeled nodes pinned.  ``y_l``
-    is the state's +/-1 vector, or ``labels``, an (|l|, C) matrix of one
-    column per one-vs-rest run, giving (|u|, C) values from one solve.
-    The two shapes are two BLAS routines (``dgemv``, ``dgemm``) whose
-    last bits differ, so each kind keeps its own shape.
+    is ``state.labels``: a binary state's +/-1 vector gives a |u| vector
+    (``dgemv``), a one-vs-rest state's (|l|, C) matrix (|u|, C) values
+    from one solve (``dgemm``).  The two routines' last bits differ, so
+    each kind keeps its own shape.
     """
-    y = state.labels if labels is None else labels
+    y = state.labels
     if not state.unlabeled:
         return np.zeros((0, *y.shape[1:]))
     return -(state.inverse @ (state.lap.block(state.unlabeled, state.labeled) @ y))

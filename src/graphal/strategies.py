@@ -22,9 +22,11 @@ re-invert: the closed-form lookahead update with the realized label *is*
 the maintenance step.
 
 One-vs-rest runs C of these binary rules over one shared partition and
-inverse, on the binary code: the harmonics are :func:`lp_harmonic` of an
-(|l|, C) label matrix, a commit is one :func:`downdate_inverse` followed by
-``_one_vs_rest``, and both session kinds roll their vectors by ``_roll``.
+inverse, on the binary code: a :class:`MulticlassState` is a ``LabelState``
+whose labels are an (|l|, C) +/-1 matrix, so its harmonics are one
+:func:`lp_harmonic`, a commit is one :func:`downdate_inverse` with the
+observed class's +/-1 row, and both session kinds roll their vectors by
+``_roll``.
 Only the risk table has its own one-vs-rest arithmetic: one kernel in an
 ``eem.RiskTable`` record (:func:`one_vs_rest_table`), run by the binary
 tables' two drivers and read through the same ``RiskTable.rows``.  tsa
@@ -32,9 +34,9 @@ selects of both session kinds prune through the one ``eem.survivors``.
 """
 from __future__ import annotations
 
-import bisect
 import enum
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -220,43 +222,30 @@ def predict_binary(session: BinarySession) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class MulticlassState:
-    """C binary one-vs-rest states over one shared graph partition.
+class MulticlassState(LabelState):
+    """C one-vs-rest runs over one graph partition: a :class:`LabelState`
+    whose ``labels`` is the C-order (|l|, C) +/-1 matrix, column c holding
+    run c's labels (+1 where the observed class is c).
 
-    All per-class states carry the same labeled/unlabeled sets and the
-    same inverse object (labels are the only difference), so the C runs
-    cost one inversion and one downdate per step, not C.
+    The runs share the partition and the inverse (labels do not enter
+    it), so they cost one inversion and one downdate per step, not C.
     """
 
-    class_count: int
-    states: tuple[LabelState, ...]
-
     def __post_init__(self):
-        if self.class_count < 2:
-            raise UsageError(f"need at least 2 classes, got {self.class_count}")
-        if len(self.states) != self.class_count:
-            raise UsageError("one binary state per class required")
+        if self.labels.ndim != 2 or self.class_count < 2:
+            raise UsageError(f"need an (|l|, C) label matrix of at least 2 classes, got shape {self.labels.shape}")
 
     @property
-    def unlabeled(self) -> tuple[int, ...]:
-        return self.states[0].unlabeled
+    def class_count(self) -> int:
+        return self.labels.shape[1]
 
-    @property
-    def labeled(self) -> tuple[int, ...]:
-        return self.states[0].labeled
-
-    @property
-    def n(self) -> int:
-        return self.states[0].n
-
-
-def _one_vs_rest(base: LabelState, classes: np.ndarray, class_count: int) -> MulticlassState:
-    """Run c labels +1 where ``classes == c``, -1 elsewhere, over ``base``'s
-    partition and inverse (the same objects in every run)."""
-    labels = np.where(classes == np.arange(class_count)[:, None], 1.0, -1.0)  # row c: run c
-    labels.setflags(write=False)
-    runs = (LabelState(base.lap, base.labeled, y, base.unlabeled, base.inverse) for y in labels)
-    return MulticlassState(class_count, tuple(runs))
+    @cached_property
+    def states(self) -> tuple[LabelState, ...]:
+        """The C runs as binary states, run c's labels column c (read-only
+        copies), all sharing this state's partition and inverse."""
+        runs = np.ascontiguousarray(self.labels.T)
+        runs.setflags(write=False)
+        return tuple(LabelState(self.lap, self.labeled, y, self.unlabeled, self.inverse) for y in runs)
 
 
 def init_multiclass(lap: Laplacian, nodes, classes, class_count: int) -> MulticlassState:
@@ -270,31 +259,9 @@ def init_multiclass(lap: Laplacian, nodes, classes, class_count: int) -> Multicl
     order = np.argsort(nodes)
     classes = classes[order]
     base = init_label_state(lap, [nodes[i] for i in order], np.where(classes == 0, 1.0, -1.0))
-    return _one_vs_rest(base, classes, class_count)
-
-
-def _class_id(value, class_count: int) -> int:
-    """``value`` as an int class id, if it is a whole number in 0..C-1."""
-    (c,) = whole_numbers([value], "class id", UsageError)
-    if not 0 <= c < class_count:
-        raise UsageError(f"class id {value!r} out of range")
-    return c
-
-
-def multiclass_update(mstate: MulticlassState, node: int, observed_class: int) -> MulticlassState:
-    """Absorb one observed class across all one-vs-rest runs.
-
-    The inverse downdate is identical for every run (labels do not enter
-    it), so it is computed once; ``_one_vs_rest`` relabels the runs with
-    the observed class inserted in node order.
-    """
-    observed_class = _class_id(observed_class, mstate.class_count)
-    old = mstate.states[0]
-    pos = bisect.bisect_left(old.labeled, node)
-    base = downdate_inverse(old, node, 1.0 if observed_class == 0 else -1.0)
-    classes = np.argmax(_class_label_matrix(mstate), axis=1)
-    classes = np.concatenate((classes[:pos], (observed_class,), classes[pos:]))
-    return _one_vs_rest(base, classes, mstate.class_count)
+    labels = np.where(classes[:, None] == np.arange(class_count), 1.0, -1.0)
+    labels.setflags(write=False)
+    return MulticlassState(base.lap, base.labeled, labels, base.unlabeled, base.inverse)
 
 
 def _normalize_rows(scores: np.ndarray) -> tuple[np.ndarray, int]:
@@ -309,20 +276,20 @@ def _normalize_rows(scores: np.ndarray) -> tuple[np.ndarray, int]:
     return scores / sums[:, None], fallback
 
 
-def _class_label_matrix(mstate: MulticlassState) -> np.ndarray:
-    return np.column_stack([s.labels for s in mstate.states])
-
-
 def multiclass_harmonics(mstate: MulticlassState) -> np.ndarray:
     """Per-class harmonic values, (|u|, C), one shared solve."""
-    return lp_harmonic(mstate.states[0], _class_label_matrix(mstate))
+    return lp_harmonic(mstate)
 
 
 def multiclass_decisions(mstate: MulticlassState, h: np.ndarray | None = None) -> np.ndarray:
-    """Per-class decision values 2 h^c / G_kk, (|u|, C), from ``h`` if given."""
+    """Per-class decision values 2 h^c / G_kk, (|u|, C), from ``h`` if given.
+
+    A ``diag(G)`` entry at or below ``singular_floor`` raises
+    :class:`~graphal.errors.DegeneracyError`, as for binary tsa.
+    """
     if h is None:
         h = multiclass_harmonics(mstate)
-    return 2.0 * h / np.diag(mstate.states[0].inverse)[:, None]
+    return 2.0 * h / mstate.checked_diagonal()[:, None]
 
 
 def _harmonic_prob(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -382,8 +349,7 @@ def one_vs_rest_table(mstate: MulticlassState, kind: StrategyKind, decisions=Non
     chunk slabs (the gathered ``G_qk``, its index and the kernel's 2C + 5),
     at most ``(2C + 7) * BLOCK_CELLS`` floats, plus one bool slab.
     """
-    base = mstate.states[0]
-    d = base.checked_diagonal()
+    d = mstate.checked_diagonal()
     tsa = kind is StrategyKind.TSA
     if tsa:
         if decisions is None:
@@ -414,7 +380,7 @@ def one_vs_rest_table(mstate: MulticlassState, kind: StrategyKind, decisions=Non
             # negation of A (rounding is symmetric in sign), so the logistic
             # kernel reads ``-A + B = -(A - B)`` and ``-A - B = -(A + B)``
             # without a negation pass.
-            inv_denom = np.divide(1.0, lookahead_denominators(base, d, g_qk, q, k, own, z), out=z)
+            inv_denom = np.divide(1.0, lookahead_denominators(mstate, d, g_qk, q, k, own, z), out=z)
             np.multiply(2.0, g_qk, out=shift)
             shift /= d_q
             shift *= inv_denom
@@ -458,9 +424,9 @@ def one_vs_rest_table(mstate: MulticlassState, kind: StrategyKind, decisions=Non
             yield contrib
 
     if not tsa:  # zlg is never pruned
-        return RiskTable(base, d, terms, weights, 2 * c_count + 5, c_count)
+        return RiskTable(mstate, d, terms, weights, 2 * c_count + 5, c_count)
     floor = -(c_count + 2) * np.finfo(float).eps
-    return RiskTable(base, d, terms, weights, 2 * c_count + 5, c_count,
+    return RiskTable(mstate, d, terms, weights, 2 * c_count + 5, c_count,
                      uncertainty=lambda: 1.0 - weights.max(axis=0), finite=(values, per_node), term_floor=floor)
 
 
@@ -506,28 +472,31 @@ def next_query_multiclass(
     ``1 - max/sum`` of clipped harmonic values stay large far from the
     labels, so the bounds prune almost nothing.
     """
-    mstate, base = session.mstate, session.mstate.states[0]
+    mstate = session.mstate
 
     def risk_table():
         if session.kind is StrategyKind.ZLG:
             return multiclass_risk_table(mstate, session.kind, harmonics=session.harmonics)
-        keep = survivors(base, mstate.class_count, lambda: one_vs_rest_table(mstate, session.kind, session.decisions))
+        keep = survivors(mstate, mstate.class_count, lambda: one_vs_rest_table(mstate, session.kind, session.decisions))
         table = multiclass_risk_table(mstate, session.kind, decisions=session.decisions, candidates=keep)
-        return _spread(keep, table, base)
+        return _spread(keep, table, mstate)
 
-    return _choose(session.kind, base, risk_table, rng)
+    return _choose(session.kind, mstate, risk_table, rng)
 
 
 def update_multiclass(
     session: MulticlassSession, node: int, observed_class: int
 ) -> MulticlassSession:
     """Absorb an observed class: :func:`_roll` the per-class vectors at the
-    outcome (+1 in its class's column), then :func:`multiclass_update`."""
+    outcome ``y`` (+1 in its class's column, -1 elsewhere), then downdate
+    the inverse with ``y`` as the node's label row; no re-inversion."""
     mstate = session.mstate
-    observed_class = _class_id(observed_class, mstate.class_count)
-    y = np.where(np.arange(mstate.class_count) == observed_class, 1.0, -1.0)
-    h, f = _roll(mstate.states[0], session.harmonics, session.decisions, node, y)
-    return replace(session, mstate=multiclass_update(mstate, node, observed_class), harmonics=h, decisions=f)
+    (c,) = whole_numbers([observed_class], "class id", UsageError)
+    if not 0 <= c < mstate.class_count:
+        raise UsageError(f"class id {observed_class!r} out of range")
+    y = np.where(np.arange(mstate.class_count) == c, 1.0, -1.0)
+    h, f = _roll(mstate, session.harmonics, session.decisions, node, y)
+    return replace(session, mstate=downdate_inverse(mstate, node, y), harmonics=h, decisions=f)
 
 
 def predict_multiclass(session: MulticlassSession) -> np.ndarray:
@@ -538,7 +507,7 @@ def predict_multiclass(session: MulticlassSession) -> np.ndarray:
     """
     mstate = session.mstate
     out = np.empty(mstate.n, dtype=int)
-    out[_node_index(mstate.labeled)] = np.argmax(_class_label_matrix(mstate), axis=1)
+    out[_node_index(mstate.labeled)] = np.argmax(mstate.labels, axis=1)
     if mstate.unlabeled:
         h = session.harmonics
         top = h.max(axis=1, keepdims=True) - DEFAULT_TOLERANCES.prediction_tie

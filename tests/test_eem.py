@@ -1,5 +1,6 @@
 """Lookahead risk, the closed-form updates, and query selection."""
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -154,7 +155,7 @@ def test_degenerate_pivot_is_reported():
         zlg_risk_table(broken)
     for kind in (StrategyKind.TSA, StrategyKind.ZLG):
         with pytest.raises(DegeneracyError, match="inverse diagonal vanished at node 1"):
-            multiclass_risk_table(MulticlassState(2, (broken, broken)), kind)
+            multiclass_risk_table(two_class(broken), kind)
 
     # unit diagonal, but G_kk - G_kq^2 / G_qq = 0 off the candidate
     flat = with_inverse(np.ones_like(state.inverse))
@@ -163,7 +164,24 @@ def test_degenerate_pivot_is_reported():
     with pytest.raises(DegeneracyError, match="candidate 1 at node 2"):
         tsa_lookahead_decisions(flat, np.zeros(3), 1, 1.0)
     with pytest.raises(DegeneracyError, match="candidate 1 at node 2"):
-        multiclass_risk_table(MulticlassState(2, (flat, flat)), StrategyKind.TSA)
+        multiclass_risk_table(two_class(flat), StrategyKind.TSA)
+
+
+def two_class(state):
+    """``state``'s partition and inverse as a two-class one-vs-rest state."""
+    labels = np.where(state.labels[:, None] > 0, [[1.0, -1.0]], [[-1.0, 1.0]])
+    return MulticlassState(state.lap, state.labeled, labels, state.unlabeled, state.inverse)
+
+
+@pytest.mark.parametrize("classes", [1, 3], ids=["binary", "one-vs-rest-3"])
+def test_a_vanished_diagonal_fails_a_tsa_session_start_by_node(classes):
+    state = chain_state(4, [0], [1.0])
+    if classes > 1:
+        state = init_multiclass(state.lap, [0], [0], classes)
+    broken = replace(state, inverse=np.zeros_like(state.inverse))
+    start = start_binary if classes == 1 else start_multiclass
+    with pytest.raises(DegeneracyError, match="^inverse diagonal vanished at node 1$"):
+        start(broken, StrategyKind.TSA)
 
 
 def test_nan_in_the_inverse_is_reported_not_spread():
@@ -305,7 +323,7 @@ def test_risk_tables_do_not_depend_on_the_block_layout(monkeypatch, classes):
         wholes = [lambda: zlg_risk_table(state, h=session.harmonic)]
         subsettable = [lambda idx: tsa_risk_table(state, f=session.decisions, candidates=idx)]
     else:
-        state = session.mstate.states[0]
+        state = session.mstate
         wholes = []
         subsettable = [
             lambda idx, kind=kind: multiclass_risk_table(
@@ -403,7 +421,7 @@ def test_a_fully_labeled_state_has_empty_tables_no_survivors_and_no_query():
 
     assert eem.block_rows(0) == eem.block_rows(0, 3) == 0
     assert eem.survivors(state, 1, build) is None
-    assert eem.survivors(mstate.states[0], 3, build) is None
+    assert eem.survivors(mstate, 3, build) is None
     for table in (
         tsa_risk_table(state),
         zlg_risk_table(state),

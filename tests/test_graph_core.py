@@ -239,7 +239,7 @@ def test_inverse_stays_bitwise_symmetric_until_the_last_label(m, classes, seed):
         mstate = init_multiclass(lap, order[:1], truth[order[:1]], classes)
         session = start_multiclass(mstate, StrategyKind.TSA)
         step = lambda s, v: update_multiclass(s, v, int(truth[v]))  # noqa: E731
-        inverse = lambda s: s.mstate.states[0].inverse  # noqa: E731
+        inverse = lambda s: s.mstate.inverse  # noqa: E731
     for v in order[1:]:
         g = inverse(session)
         assert np.array_equal(g, g.T), f"|u| = {len(g)}"

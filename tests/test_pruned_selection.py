@@ -28,7 +28,6 @@ from graphal.inference import sigmoid
 from graphal.selftest import random_connected_graph
 from graphal.strategies import (
     MulticlassSession,
-    MulticlassState,
     StrategyKind,
     init_multiclass,
     next_query,
@@ -75,16 +74,8 @@ def is_multiclass(session):
 
 
 def state_of(session):
-    """The session's binary state (the shared one of a one-vs-rest run)."""
-    return session.mstate.states[0] if is_multiclass(session) else session.state
-
-
-def with_state(session, state):
-    """``session`` over ``state`` (one-vs-rest: every run's inverse replaced)."""
-    if not is_multiclass(session):
-        return strategies.replace(session, state=state)
-    runs = tuple(strategies.replace(run, inverse=state.inverse) for run in session.mstate.states)
-    return strategies.replace(session, mstate=MulticlassState(session.mstate.class_count, runs))
+    """The session's state (a ``MulticlassState`` for one-vs-rest)."""
+    return session.mstate if is_multiclass(session) else session.state
 
 
 def table(session, candidates=None):
@@ -307,12 +298,15 @@ def test_a_nan_harmonic_value_fails_clearly_in_a_one_vs_rest_zlg_table():
         select(broken)
 
 
+@pytest.mark.parametrize("rows", [None, 20], ids=["default-layout", "20-rows"])  # BLOCK_CELLS = rows * |u|
 @pytest.mark.parametrize("pick_node", ["later-node", "first-swept-node"])  # the bound sweep's first column
 @CLASSES
-def test_a_vanishing_denominator_in_a_pruned_candidate_raises_like_the_table(classes, pick_node):
+def test_a_vanishing_denominator_in_a_pruned_candidate_raises_like_the_table(monkeypatch, classes, pick_node, rows):
     session = block_session(0, 2, classes)
     state = state_of(session)
     m = len(state.unlabeled)
+    if rows:
+        monkeypatch.setattr(eem, "BLOCK_CELLS", rows * m)
     assert eem.block_rows(m, classes) < m
     kept = survivors(session)
     full = table(session)
@@ -321,17 +315,17 @@ def test_a_vanishing_denominator_in_a_pruned_candidate_raises_like_the_table(cla
     k = (j + 17) % m if pick_node == "later-node" else first_swept(session)
     assert k != j
 
-    g = state.inverse.copy()
-    g[j, k] = np.sqrt(g[j, j] * g[k, k])  # G_kk - G_jk^2 / G_jj rounds to about 0
-    flat = with_state(session, LabelState(state.lap, state.labeled, state.labels, state.unlabeled, g))
+    g = state.inverse
+    # G_kk - G_jk^2 / G_jj and G_jj - G_jk^2 / G_kk round to about 0; the
+    # table meets the pair first at the lower candidate position
+    flat = tampered(session, j, k, np.sqrt(g[j, j] * g[k, k]))
     with pytest.raises(DegeneracyError) as want:
         table(flat)
     with pytest.raises(DegeneracyError) as got:
         select(flat)
     assert str(got.value) == str(want.value)
-    assert str(want.value) == (
-        f"lookahead denominator vanished for candidate {state.unlabeled[j]} at node {state.unlabeled[k]}"
-    )
+    u = state.unlabeled
+    assert str(want.value) == f"lookahead denominator vanished for candidate {u[min(j, k)]} at node {u[max(j, k)]}"
 
 
 def test_pruned_binary_selection_scratch_is_bounded_by_the_cell_budget():
@@ -388,10 +382,10 @@ def test_pruned_one_vs_rest_selection_scratch_is_bounded_by_the_cell_budget(monk
 def tampered(session, j, k, value):
     """``session`` with ``G_jk = G_kj = value``: ``G`` stays bitwise
     symmetric, as every state's is, and the certificate reads one triangle."""
-    state = state_of(session)
-    g = state.inverse.copy()
+    g = state_of(session).inverse.copy()
     g[j, k] = g[k, j] = value
-    return with_state(session, LabelState(state.lap, state.labeled, state.labels, state.unlabeled, g))
+    state = strategies.replace(state_of(session), inverse=g)
+    return strategies.replace(session, **{"mstate" if is_multiclass(session) else "state": state})
 
 
 @st.composite

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphal.errors import InputError, UsageError
-from graphal.graph_core import build_laplacian, graph_from_edges, init_label_state
+from graphal.graph_core import LabelState, build_laplacian, downdate_inverse, graph_from_edges, init_label_state
 from graphal.inference import lp_harmonic, sigmoid, tsa_marginals
 from graphal.eem import BLOCK, BLOCK_CELLS, tsa_lookahead_decisions, tsa_risk_table, zlg_lookahead_harmonic
 from graphal.strategies import (
@@ -18,7 +18,6 @@ from graphal.strategies import (
     multiclass_decisions,
     multiclass_harmonics,
     multiclass_risk_table,
-    multiclass_update,
     next_query,
     next_query_multiclass,
     predict_binary,
@@ -190,8 +189,10 @@ def test_multiclass_rejects_degenerate_setups():
     lap = build_laplacian(graph_from_edges(3, [(0, 1, 1.0), (1, 2, 1.0)]))
     with pytest.raises(UsageError):
         init_multiclass(lap, [0], [5], 3)  # class id out of range
-    with pytest.raises(UsageError):
-        MulticlassState(class_count=1, states=())
+    m = init_multiclass(lap, [0], [0], 2)
+    for labels in (m.labels[:, :1], m.labels[:, 0]):  # one class; a binary label vector
+        with pytest.raises(UsageError, match="at least 2 classes"):
+            replace(m, labels=labels)
 
 
 def six_chain():
@@ -204,13 +205,11 @@ def six_chain():
         # would give node 2 an all -1 label row, read back as class 0
         (lambda lap: update_multiclass(start_multiclass(init_multiclass(lap, [0], [0], 3), StrategyKind.TSA), 2, 1.5),
          UsageError, "class id 1.5"),
-        (lambda lap: multiclass_update(init_multiclass(lap, [0], [0], 3), 2, 1.5), UsageError, "class id 1.5"),
         (lambda lap: init_multiclass(lap, [0, 5], [0, 1.7], 3), UsageError, "class id 1.7"),  # would store class 1
         (lambda lap: init_multiclass(lap, [0, 5.5], [0, 1], 3), InputError, "labeled node 5.5"),  # would label node 5
         (lambda lap: init_label_state(lap, [5.5], [1.0]), InputError, "labeled node 5.5"),
     ],
-    ids=["update_multiclass-class", "multiclass_update-class", "init_multiclass-class", "init_multiclass-node",
-         "init_label_state-node"],
+    ids=["update_multiclass-class", "init_multiclass-class", "init_multiclass-node", "init_label_state-node"],
 )
 def test_non_integral_class_ids_and_nodes_are_rejected_by_name(call, error, text):
     with pytest.raises(error, match=f"^{re.escape(text)} is not a whole number$"):
@@ -221,22 +220,56 @@ def test_integral_class_ids_and_nodes_of_any_dtype_are_accepted():
     lap = six_chain()
     mstate = init_multiclass(lap, [np.float64(5.0), np.int8(0)], [np.float32(2.0), np.uint8(1)], 3)
     assert mstate.labeled == (0, 5)
-    assert np.array_equal(np.argmax(np.column_stack([s.labels for s in mstate.states]), axis=1), [1, 2])
+    assert np.array_equal(np.argmax(mstate.labels, axis=1), [1, 2])
     session = update_multiclass(start_multiclass(mstate, StrategyKind.TSA), 2, np.float64(1.0))
     assert predict_multiclass(session)[2] == 1
 
 
-def test_multiclass_update_moves_node_and_matches_fresh_inverse():
+def one_hot(observed_class, class_count):
+    """The +/-1 label row of an observed class: +1 in its column."""
+    return np.where(np.arange(class_count) == observed_class, 1.0, -1.0)
+
+
+def test_multiclass_downdate_moves_node_and_matches_fresh_inverse():
     m = triangle_mstate()
-    m2 = multiclass_update(m, 3, 2)
+    m2 = downdate_inverse(m, 3, one_hot(2, 3))
     assert m2.labeled == (0, 1, 3, 4)
     assert m2.unlabeled == (2, 5)
-    assert np.array_equal(m2.states[2].labels, [-1.0, -1.0, 1.0, 1.0])
-    assert np.array_equal(m2.states[0].labels, [1.0, -1.0, -1.0, -1.0])
-    fresh = init_label_state(m.states[0].lap, m2.labeled, m2.states[0].labels)
-    assert np.max(np.abs(m2.states[0].inverse - fresh.inverse)) <= 1e-9
+    assert np.array_equal(m2.labels[:, 2], [-1.0, -1.0, 1.0, 1.0])
+    assert np.array_equal(m2.labels[:, 0], [1.0, -1.0, -1.0, -1.0])
+    fresh = init_label_state(m.lap, m2.labeled, m2.labels[:, 0])
+    assert np.max(np.abs(m2.inverse - fresh.inverse)) <= 1e-9
     with pytest.raises(UsageError):
-        multiclass_update(m2, 3, 0)
+        downdate_inverse(m2, 3, one_hot(0, 3))
+
+
+def test_a_one_vs_rest_commit_returns_a_label_matrix_state_whose_runs_share_its_inverse():
+    session = update_multiclass(start_multiclass(triangle_mstate(), StrategyKind.TSA), 3, 2)
+    m = session.mstate
+    assert isinstance(m, MulticlassState) and m.class_count == 3
+    assert m.labels.shape == (4, 3) and m.labels.flags.c_contiguous and not m.labels.flags.writeable
+    assert np.array_equal(m.labels, [one_hot(c, 3) for c in (0, 1, 2, 2)])
+    assert len(m.states) == 3
+    for c, run in enumerate(m.states):
+        assert type(run) is LabelState
+        assert np.array_equal(run.labels, m.labels[:, c]) and not run.labels.flags.writeable
+        assert run.inverse is m.inverse
+        assert run.labeled is m.labeled and run.unlabeled is m.unlabeled
+
+
+@pytest.mark.parametrize(
+    "multiclass, label",
+    [(False, np.array([1.0, -1.0, -1.0])), (False, np.array([1.0])), (False, [1.0]),
+     (False, 0.0), (False, 0.5), (False, np.nan),
+     (True, 1.0), (True, one_hot(0, 2)), (True, one_hot(0, 4)),
+     (True, np.array([1.0, 0.0, -1.0])), (True, np.array([1.0, -1.0, 0.5])), (True, np.array([np.nan, -1.0, 1.0]))],
+    ids=["binary-row", "binary-length-1-row", "binary-list", "binary-0", "binary-0.5", "binary-nan",
+         "matrix-scalar", "matrix-short-row", "matrix-long-row", "matrix-0", "matrix-0.5", "matrix-nan"],
+)
+def test_downdate_rejects_a_label_of_the_wrong_shape_or_value(multiclass, label):
+    state = triangle_mstate() if multiclass else chain_state(6, [0], [1.0])
+    with pytest.raises(InputError, match="^label must be"):
+        downdate_inverse(state, 3, label)
 
 
 @dataclass(frozen=True)
@@ -352,7 +385,7 @@ def _risk_given_outcomes(scores_minus, new_plus, qi, n, weights):
 
 def per_candidate_risk_table(mstate, kind, decisions, harmonics):
     """Reference: the multiclass risk table one candidate at a time."""
-    g = mstate.states[0].inverse
+    g = mstate.inverse
     d = np.diag(g)
     if kind is StrategyKind.TSA:
         weights_table = _normalize_rows(sigmoid(decisions))[0]
@@ -405,7 +438,7 @@ def test_multiclass_risk_table_blocks_match_per_candidate_reference(kind, classe
     session = multiclass_session_after_downdates(kind, classes, 41 + classes, beta=beta, n=n)
     m = len(session.mstate.unlabeled)
     assert (BLOCK_CELLS // m < BLOCK // classes) == (n > 100)
-    g = session.mstate.states[0].inverse
+    g = session.mstate.inverse
     assert np.array_equal(g, g.T)  # downdates keep G exactly symmetric
     if kind is StrategyKind.TSA and beta > 1.0:
         # large beta scales G down and the decision values up: the sweep
@@ -453,8 +486,8 @@ def rare_sweep_cases(draw):
         g[0, 1:] *= -1.0
         g[1:, 0] *= -1.0
     g.setflags(write=False)
-    first = replace(chain_state(m + 1, [0], [1.0]), inverse=g)
-    mstate = MulticlassState(class_count=c_count, states=(first,) * c_count)
+    first = chain_state(m + 1, [0], [1.0])
+    mstate = MulticlassState(first.lap, first.labeled, one_hot(0, c_count)[None, :], first.unlabeled, g)
     h = rng.uniform(-1.0, 1.0, (m, c_count))
     if saturate:
         dead = rng.random(m) < 0.3
@@ -469,7 +502,7 @@ def rare_sweep_cases(draw):
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
 def test_multiclass_risk_table_rare_paths_match_per_candidate_reference(case):
     mstate, kind, decisions, harmonics, saturate = case
-    g = mstate.states[0].inverse
+    g = mstate.inverse
     assert (g < 0.0).any()  # some candidate row holds a negative entry
     assert np.array_equal(g, g.T)
     if saturate:
@@ -482,7 +515,7 @@ def test_multiclass_risk_table_rare_paths_match_per_candidate_reference(case):
 
 def test_matrix_lookaheads_match_per_class_calls():
     session = multiclass_session_after_downdates(StrategyKind.TSA, 4, 7)
-    state = session.mstate.states[0]
+    state = session.mstate
     for q in state.unlabeled[::15]:
         for observed in range(4):
             y = np.where(np.arange(4) == observed, 1.0, -1.0)
@@ -510,7 +543,7 @@ def test_multiclass_risk_table_against_fresh_recompute(kind):
     for qi, q in enumerate(m.unlabeled):
         expected = 0.0
         for b in range(m.class_count):
-            conditioned = multiclass_update(m, q, b)
+            conditioned = downdate_inverse(m, q, one_hot(b, m.class_count))
             if kind is StrategyKind.TSA:
                 after = multiclass_marginals(conditioned).table
             else:
@@ -554,13 +587,9 @@ def test_one_vs_rest_invariants_hold_through_commits():
     for _ in range(5):
         q = next_query_multiclass(session, rng)
         session = update_multiclass(session, q, int(truth[q]))
-        states = session.mstate.states
-        for st in states:
-            assert st.inverse is states[0].inverse
-            assert st.labeled is states[0].labeled
         labeled = list(session.mstate.labeled)
-        one_hot = np.where(truth[labeled][:, None] == np.arange(3), 1.0, -1.0)
-        assert np.array_equal(np.column_stack([st.labels for st in states]), one_hot)
+        expected = np.where(truth[labeled][:, None] == np.arange(3), 1.0, -1.0)
+        assert np.array_equal(session.mstate.labels, expected)
         assert np.array_equal(predict_multiclass(session)[labeled], truth[labeled])
     assert len(session.mstate.labeled) == 6
 
