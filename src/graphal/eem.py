@@ -33,10 +33,12 @@ descending order of current risk, a chunk of nodes at a time, scores
 exactly the candidate with the smallest bound after each chunk, and drops
 every candidate whose bound exceeds that best score plus the tie tolerance
 (lazy evaluation, Minoux 1978).  Only the survivors get exact rows.
-Before the sweep, a certificate read off ``diag(G)`` and ``G``'s upper
-triangle proves that no lookahead denominator can reach
-``singular_floor``; only where it fails are they all computed, so a
-degenerate state raises the full table's first error text.
+Before the sweep, a certificate proves that no lookahead denominator can
+reach ``singular_floor``: first one comparison against the backward-error
+bound that travels with ``G`` (:func:`_bounded`), else one read of
+``diag(G)`` and ``G``'s upper triangle (:func:`_certified`); only where
+both fail are the denominators all computed, so a degenerate state raises
+the full table's first error text.
 :func:`survivors`, its one caller, hands it the table's own record, binary
 or one-vs-rest, so a term of the sweep is the same float operations on the
 same operands as the table's term; only ``exp`` (a different kernel may
@@ -189,8 +191,9 @@ def block_rows(m: int, classes: int = 1) -> int:
 class RiskTable:
     """One risk table: the kernel ``terms`` (see :func:`table_rows`), its
     ``slabs`` of scratch, ``weights[b]``, each candidate's probability of
-    outcome b, the class count (1 for binary) and ``d``, the checked
-    ``diag(G)`` of ``state``.  For :func:`survivors`: ``uncertainty()``,
+    outcome b, and ``d``, the checked ``diag(G)`` of ``state``, whose
+    ``class_count`` (1 for binary) sizes the blocks.  For
+    :func:`survivors`: ``uncertainty()``,
     each node's current risk, orders the sweep (None: never pruned),
     ``finite`` holds the operands a bound needs finite, and ``term_floor``
     (<= 0) is the least a term can round to.
@@ -201,7 +204,6 @@ class RiskTable:
     terms: Callable
     weights: Sequence[np.ndarray]
     slabs: int
-    classes: int = 1
     uncertainty: Callable[[], np.ndarray] | None = None
     finite: tuple = ()
     term_floor: float = 0.0
@@ -233,7 +235,7 @@ def table_rows(table: RiskTable, candidates: np.ndarray | None = None) -> np.nda
     m = len(table.state.unlabeled)
     g, terms = table.state.inverse, table.terms
     count = m if candidates is None else len(candidates)
-    step = block_rows(m, table.classes)
+    step = block_rows(m, table.state.class_count)
     work = np.empty((table.slabs, min(step, count), m))
     k = np.arange(m)[None, :]
     risk = np.zeros(count)
@@ -320,19 +322,20 @@ def tsa_risk_table(state: LabelState, f: np.ndarray | None = None,
     return tsa_table(state, f).rows(candidates)
 
 
-def survivors(state: LabelState, classes: int, build) -> np.ndarray | None:
+def survivors(state: LabelState, build) -> np.ndarray | None:
     """Positions of the candidates whose exact risk may tie the minimum of
-    the table ``build()`` returns, binary (``classes`` 1) or one-vs-rest:
-    the one caller of :func:`bound_sweep`, most uncertain nodes first.
+    the table ``build()`` returns, binary or one-vs-rest (the class count
+    is ``state.class_count``): the one caller of :func:`bound_sweep`, most
+    uncertain nodes first.
 
     None where pruning is not tried: a table of one block (the sweep would
     cost as much as the table) or of no candidate, decided from |u| and
-    ``classes`` before any record is built; a table without
+    the class count before any record is built; a table without
     ``uncertainty``; and ``finite`` operands that are not (a NaN term could
     hide in an unswept node; the table shows it).
     """
     m = len(state.unlabeled)
-    if block_rows(m, classes) == m:
+    if block_rows(m, state.class_count) == m:
         return None
     table = build()
     if table.uncertainty is None or not all(np.isfinite(v).all() for v in table.finite):
@@ -349,11 +352,13 @@ def bound_sweep(table: RiskTable, order) -> np.ndarray:
     and every term at least ``term_floor``.  ``order`` holds every node
     position, most uncertain first.
 
-    1. Guard: :func:`_certified` proves, in about half the time it takes
-       to compute them, that no lookahead denominator can reach
-       ``singular_floor``.  Where it fails, :func:`_guard` checks every one
-       in the table's own block order, so a degenerate state raises
-       exactly what the table raises.
+    1. Guard: :func:`_bounded` proves in O(1), from the backward-error
+       bound that travels with ``G``, that no lookahead denominator can
+       reach ``singular_floor``.  Where the state has no bound or it is too
+       loose, :func:`_certified` proves the same from ``diag(G)`` and one
+       read of ``G``'s upper triangle.  Where that fails too,
+       :func:`_guard` checks every denominator in the table's own block
+       order, so a degenerate state raises exactly what the table raises.
     2. Bounds: the nodes are summed in ``order``, in chunks of ``width *
        |u|`` cells, ``width = min(SWEEP_COLUMNS, BLOCK_CELLS // |u|)``:
        ``width`` nodes while every candidate is live, more as candidates
@@ -374,8 +379,9 @@ def bound_sweep(table: RiskTable, order) -> np.ndarray:
        gather, the index), so a select where nothing prunes costs about two
        tables.
 
-    Scratch: one certificate slab of ``max(BLOCK_CELLS, |u|)``
-    cells (or, on the fallback, the guard's slab of a table block), then
+    Scratch: none for :func:`_bounded`; where it fails, one certificate
+    slab of ``max(BLOCK_CELLS, |u|)`` cells (or, on the last fallback, the
+    guard's slab of a table block); then
     ``slabs + 2`` slabs of ``width * |u|`` cells (``G_qk``, the gather
     index and the kernel's).
     The survivors are the live candidates, scored ones included.
@@ -383,7 +389,7 @@ def bound_sweep(table: RiskTable, order) -> np.ndarray:
     state, terms, weights, slabs = table.state, table.terms, table.weights, table.slabs
     m = len(order)
     g = state.inverse
-    if not _certified(table):
+    if not (_bounded(state) or _certified(table)):
         _guard(table)
     width = min(SWEEP_COLUMNS, max(1, BLOCK_CELLS // m))
     rank = np.empty(m, dtype=np.intp)
@@ -429,10 +435,66 @@ def bound_sweep(table: RiskTable, order) -> np.ndarray:
     return np.flatnonzero(live)
 
 
+def _bounded(state: LabelState) -> bool:
+    """True if ``state.error_bound`` proves every lookahead denominator
+    ``G_kk - G_qk^2 / G_qq`` (``q != k``) above ``singular_floor``: one
+    comparison, ``2f (a/2 + e) <= 1`` with ``f`` the floor.  False where
+    the bound fails it or does not describe ``state.inverse``; the caller
+    then runs :func:`_certified`.
+
+    The proof, with ``A = L_uu``, ``u = 2^-53`` and ``G`` the stored,
+    bitwise symmetric inverse:
+
+    1. Forward bound: a fresh ``G`` has ``||G - A^-1||_2 <= phi``, from
+       Cholesky's backward error, the triangular inverse's residual and the
+       product's roundings (Higham 2002, chs. 10 and 14; Du Croz & Higham
+       1992), with ``||A||_2 <= a`` by Gershgorin and ``||A^-1||_2``
+       bounded through ``trace(G)`` and the Cholesky factor, not through
+       ``phi`` itself.  ``graph_core._inversion_bound`` derives ``phi``
+       and checks its hypotheses in code; ``a phi < 1/2`` is one.
+    2. Backward conversion: with ``F = G - A^-1``, ``||A F||_2 <= a phi <
+       1``, so ``G = A^-1 (I + A F)`` is invertible, and ``E = G^-1 - A =
+       -(I + A F)^-1 A F A`` has ``||E||_2 <= a^2 phi / (1 - a phi) = e``.
+       ``E`` is symmetric, as ``G`` and ``A`` are, and ``lambda_min(G) >=
+       1/a - phi > 0`` (Weyl), so ``B = A + E = G^-1`` is positive definite.
+    3. Denominators: ``G_kk - G_qk^2 / G_qq``, in exact arithmetic on
+       ``G``'s entries, is entry k of the inverse of ``B`` without row and
+       column q (a Schur complement).  A positive definite ``M`` has
+       ``(M^-1)_kk M_kk >= 1`` (Cauchy-Schwarz on ``M^(1/2) e_k`` and
+       ``M^(-1/2) e_k``), and ``B_kk <= A_kk + ||E||_2 <= a/2 + e``, so
+       every exact denominator is at least ``1 / (a/2 + e)``.
+    4. Downdates: the exact downdate of ``G = B^-1`` at q is the inverse of
+       ``B`` without row and column q: the next ``L_uu`` plus a principal
+       block of ``E``, of norm at most e.  Each computed entry is
+       ``round(g_ij - round(s_i s_j))``, where ``round(s_i s_j)`` is within
+       ``gamma_5`` of ``G_qi G_qj / G_qq``; both that and the exact entry
+       are at most ``max diag(G)`` in magnitude (``G`` and the exact
+       downdate are positive definite), so the entry is off by at most
+       ``(gamma_5 + u + u gamma_5) max diag(G) < 6.001 u max diag(G)``,
+       and the roundings by ``r = 8 u |u| max diag(G)`` in 2-norm (|u|
+       after the commit, a 2-norm at most |u| times the largest entry),
+       and step 2's conversion with ``||B'||_2 <= a + e = a'`` adds ``a'^2
+       r / (1 - a' r)`` to e (``graph_core.downdate_inverse``, which needs
+       ``a' r < 1/2``).
+    5. Roundings: a computed denominator is three roundings off the exact
+       one, as in :func:`_certified`: less than ``3.001 u max diag(G)``,
+       since ``G_qk^2 / G_qq <= G_kk``.  With ``f = 1e-12 max diag(G)``, a
+       denominator of at least ``2f`` in exact arithmetic computes above
+       ``f``; the comparison's own few roundings, a few ``u`` relative,
+       fit in the same factor 2.
+    """
+    bound = state.error_bound
+    if bound is None or bound[0] is not state.inverse:
+        return False
+    _, a, e = bound
+    return bool(2.0 * state.singular_floor * (0.5 * a + e) <= 1.0)
+
+
 def _certified(table: RiskTable) -> bool:
     """True if no lookahead denominator ``G_kk - G_qk^2 / G_qq`` of
-    ``table`` can reach ``singular_floor``; on False the caller runs
-    :func:`_guard`.
+    ``table`` can reach ``singular_floor``: the second route, for a state
+    whose error bound is missing or too loose (:func:`_bounded`); on False
+    the caller runs :func:`_guard`.
 
     With ``f`` the floor and ``d = table.d``, it needs ``d.min() > 2f``,
     sets ``v = 1 / sqrt(d - 2f)`` and checks ``|G_qk| v_k <=

@@ -45,6 +45,8 @@ from .errors import (
 _CHUNK_CHARS = 1 << 16  # readlines() size hint: one chunk's token lists bound the reader's memory
 _MAX_NODE_ID = np.iinfo(np.int64).max
 _BLOCK = 64  # columns per step of the inverse's mirror; bounds its scratch
+_U = 2.0 ** -53  # unit roundoff of float64, u in the error bounds
+_DOWNDATE_ROUNDING = 8.0 * _U / DEFAULT_TOLERANCES.singularity  # times |u| and singular_floor: a downdate's r
 
 
 @dataclass(frozen=True, eq=False)
@@ -216,6 +218,14 @@ class LabelState:
     labels (``strategies.MulticlassState``); ``inverse`` is the bitwise
     symmetric ``G = inv(L_uu)``, rows/columns aligned with ``unlabeled``.
     Instances are immutable values; operations return new states.
+
+    ``error_bound`` is None or ``(array, a, e)``: ``array`` is proved the
+    exact inverse of ``L_uu + E`` with ``||E||_2 <= e`` and ``a >=
+    ||L_uu||_2`` (``init_label_state`` and ``downdate_inverse`` set it;
+    the proof is ``eem._bounded``'s).  It describes ``inverse`` only while
+    ``array is inverse``, so a state built by hand, by
+    ``dataclasses.replace(state, inverse=...)`` or as a
+    ``MulticlassState.states`` view carries no usable bound.
     """
 
     lap: Laplacian
@@ -223,6 +233,12 @@ class LabelState:
     labels: np.ndarray
     unlabeled: tuple[int, ...]
     inverse: np.ndarray
+    error_bound: tuple | None = None
+
+    @property
+    def class_count(self) -> int:
+        """1 for a label vector, C for an (|l|, C) label matrix."""
+        return self.labels.shape[1] if self.labels.ndim == 2 else 1
 
     def u_index(self, node: int) -> int:
         """Position of an unlabeled node within the ``unlabeled`` ordering."""
@@ -287,6 +303,63 @@ def _spd_block_inverse(lap: Laplacian, nodes: tuple[int, ...]) -> np.ndarray:
     return buf
 
 
+def _inversion_bound(lap: Laplacian, g: np.ndarray) -> tuple | None:
+    """``(g, a, e)`` for a ``G = g`` fresh from :func:`_spd_block_inverse`,
+    None where a hypothesis below fails (or no node is unlabeled).
+
+    ``a = 2 (1 + 2 n u) max(lap.diagonal)`` bounds ``||L_uu||_2`` by
+    Gershgorin: a row's off-diagonal magnitudes sum to at most its
+    diagonal, up to the ``(deg + 3) u`` that rounding the degree costs
+    (``u = 2^-53``).  With ``c = m gamma_{m+2}`` (``m = |u|``, ``gamma_k =
+    k u / (1 - k u)``) and ``R`` the computed Cholesky factor, ``X`` its
+    computed inverse, ``G = fl(X X^T)``:
+
+    * ``x = trace(G) / (1 - c) >= ||X||_2^2``: each ``G_kk`` sums the
+      squares of row k of ``X``, so it is within ``gamma_m`` of that sum,
+      and the float trace within ``gamma_m`` of its own sum
+    * ``a1 = a / (1 - c) >= ||R||_2^2``, as ``R^T R = L_uu + D1`` with
+      ``|D1| <= gamma_{m+1} |R^T| |R|`` (Higham 2002, Thm 10.3) and
+      ``|| |M| ||_2 <= sqrt(m) ||M||_2``, so ``||D1||_2 <= c ||R||_2^2 <= c a1``
+    * ``s = c sqrt(a1 x) >= ||P||_2``, ``P`` the residual ``X R - I`` or
+      ``R X - I``: LAPACK's triangular inverse bounds one of them by
+      ``gamma_{m+1} |X| |R|`` (Du Croz & Higham 1992; Higham 2002, sec. 14.2)
+    * ``r1 = x / (1 - s)^2 >= ||R^-1||_2^2 = ||(L_uu + D1)^-1||_2``, ``w =
+      c a1 r1``, and ``t = r1 / (1 - w) >= ||L_uu^-1||_2``, as
+      ``lambda_min(L_uu) >= 1 / r1 - c a1`` (Weyl)
+    * ``phi = c x + r1 s (2 + s) + w t >= ||G - L_uu^-1||_2``: the terms
+      bound ``G - X X^T`` (``|.| <= gamma_m |X| |X^T|``), ``X X^T - (L_uu
+      + D1)^-1`` (``X`` is ``(I + P) R^-1`` or ``R^-1 (I + P)``) and
+      ``(L_uu + D1)^-1 - L_uu^-1 = -L_uu^-1 D1 (L_uu + D1)^-1``
+
+    (LAPACK factors ``L_uu = L L^T`` here; ``R`` is ``L^T``.)
+
+    Each of ``s``, ``w`` and ``a phi`` must be below 1/2.  Then ``e = a^2
+    phi / (1 - a phi)``.  To first order ``phi = c t (1 + sqrt(a t))^2``,
+    so ``a phi`` grows as ``m^2 u kappa^2``.  The trace bounds
+    ``||L_uu^-1||_2`` through ``R``, not through ``G``'s distance to
+    ``L_uu^-1``, so the argument is not circular.
+    """
+    m = len(g)
+    if not m:
+        return None
+    c = m * (m + 2) * _U / (1.0 - (m + 2) * _U)
+    a = 2.0 * (1.0 + 2 * lap.n * _U) * float(lap.diagonal.max())
+    x = float(g.diagonal().sum()) / (1.0 - c)
+    a1 = a / (1.0 - c)
+    s = c * (a1 * x) ** 0.5
+    if not s < 0.5:
+        return None
+    r1 = x / (1.0 - s) ** 2
+    w = c * a1 * r1
+    if not w < 0.5:
+        return None
+    phi = c * x + r1 * s * (2.0 + s) + w * r1 / (1.0 - w)
+    a_phi = a * phi
+    if not a_phi < 0.5:
+        return None
+    return g, a, a * a_phi / (1.0 - a_phi)
+
+
 def whole_numbers(values, what: str, error: type[Exception] = InputError) -> list[int]:
     """``values`` as Python ints.  A value that is not a whole number (of
     any integer or float type) raises ``error`` naming it, where ``int()``
@@ -337,6 +410,7 @@ def init_label_state(lap: Laplacian, labeled, labels) -> LabelState:
     requested, and with a :class:`DegeneracyError` naming the node if
     ``L_uu`` is numerically not positive definite or ``diag(G)`` overflows.
     The labeled nodes may come in any order; ``labels`` follows theirs.
+    The state's ``error_bound`` is :func:`_inversion_bound`'s, O(n) more.
     """
     labeled, y = sorted_labeled(lap, labeled, labels)
     if not labeled:
@@ -352,7 +426,7 @@ def init_label_state(lap: Laplacian, labeled, labels) -> LabelState:
     inv = _spd_block_inverse(lap, unlabeled)
     inv.setflags(write=False)
     y.setflags(write=False)
-    return LabelState(lap=lap, labeled=labeled, labels=y, unlabeled=unlabeled, inverse=inv)
+    return LabelState(lap, labeled, y, unlabeled, inv, _inversion_bound(lap, inv))
 
 
 def downdate_inverse(state: LabelState, k: int, label) -> LabelState:
@@ -383,6 +457,14 @@ def downdate_inverse(state: LabelState, k: int, label) -> LabelState:
     rounded tile edges differently would break the symmetry; the
     ``*bitwise_equal_to_gathering_form`` and ``*bitwise_symmetric*`` tests
     catch both.  ``state`` is left as it was.
+
+    The result's ``error_bound`` is ``(new_inv, a, e + a'^2 r / (1 - a'
+    r))`` where ``state``'s describes its inverse (``state.error_bound[0]
+    is state.inverse``) and ``a' r < 1/2``, else None.  ``a' = a + e``
+    bounds ``||L_uu + E||_2``, and ``r = 8 u |u| max diag(G)`` (``u =
+    2^-53``, ``max diag(G)`` read back from ``singular_floor``) bounds the
+    downdate's roundings in 2-norm: an entry is off by at most ``6.001 u
+    max diag(G)``.  O(1) per commit (``eem._bounded`` has the proof).
     """
     qi = state.u_index(k)
     labels = state.labels
@@ -411,12 +493,21 @@ def downdate_inverse(state: LabelState, k: int, label) -> LabelState:
     new_labels = np.empty((len(labels) + 1, *labels.shape[1:]))
     new_labels[:pos], new_labels[pos], new_labels[pos + 1:] = labels[:pos], label, labels[pos:]
     new_labels.setflags(write=False)
+    bound = state.error_bound
+    if bound is not None and bound[0] is g:
+        _, a, e = bound
+        a_e = a + e
+        a_r = a_e * _DOWNDATE_ROUNDING * s.size * float(state.singular_floor)
+        bound = (new_inv, a, e + a_e * a_r / (1.0 - a_r)) if a_r < 0.5 else None
+    else:
+        bound = None
     return type(state)(
         state.lap,
         state.labeled[:pos] + (k,) + state.labeled[pos:],
         new_labels,
         state.unlabeled[:qi] + state.unlabeled[qi + 1:],
         new_inv,
+        bound,
     )
 
 

@@ -20,6 +20,9 @@ computation that shares no code with it:
 * laplacian-blocks -- ``L_uu`` and ``L_ul`` scattered from the edges vs.
                      slices of the dense one-edge-at-a-time assembly,
                      bit for bit
+* denominator-bound -- the floor that a state's ``error_bound`` proves
+                     for its lookahead denominators vs. every computed
+                     one, along commits that label the whole graph
 
 Each check yields one deviation per case, and :func:`_check` reports
 their maximum.  A NaN deviation propagates into that maximum, which then
@@ -168,6 +171,13 @@ def grounded_inverse(graph: Graph, labeled) -> np.ndarray:
     return x.T @ (x / pivots[:, None])
 
 
+def log_uniform_graph(rng: np.random.Generator) -> Graph:
+    """A corpus graph of 50-70 nodes with edge weights log-uniform over 1e-6..1e6."""
+    tree = random_connected_graph(rng, n_max=70, n_min=50)
+    weights = 10.0 ** rng.uniform(-6.0, 6.0, size=len(tree.edges))
+    return graph_from_edges(tree.n, [(i, j, w) for (i, j, _), w in zip(tree.edges, weights)])
+
+
 @_check("long-downdate-relative", 1e-12)
 def check_long_downdate(rng: np.random.Generator, graphs: int):
     """Downdates until every node is labeled vs. accurate inversions on the way.
@@ -185,9 +195,7 @@ def check_long_downdate(rng: np.random.Generator, graphs: int):
     ``max diag(G)`` when labeling a weakly attached node shrinks it.
     """
     for _ in range(graphs):
-        tree = random_connected_graph(rng, n_max=70, n_min=50)
-        weights = 10.0 ** rng.uniform(-6.0, 6.0, size=len(tree.edges))
-        graph = graph_from_edges(tree.n, [(i, j, w) for (i, j, _), w in zip(tree.edges, weights)])
+        graph = log_uniform_graph(rng)
         order = [int(v) for v in rng.permutation(graph.n)]
         state = init_label_state(build_laplacian(graph), order[:1], [1.0])
         for t, k in enumerate(order[1:], start=1):
@@ -312,17 +320,47 @@ def check_laplacian_blocks(rng: np.random.Generator, graphs: int):
             yield np.count_nonzero(fast.view(np.uint64) != ref.view(np.uint64))
 
 
+@_check("denominator-bound", 0.0)
+def check_denominator_bound(rng: np.random.Generator, graphs: int):
+    """Computed lookahead denominators vs. the floor the error bound proves.
+
+    On a corpus graph and a :func:`log_uniform_graph` each round, commits
+    in random order until every node is labeled.  For each state whose
+    ``error_bound`` describes its inverse, the proven floor of a computed
+    denominator is ``1 / (a/2 + e)`` less three roundings, ``4 u max
+    diag(G)`` (``eem._bounded``); the denominators ``G_kk - G_qk^2 /
+    G_qq``, q != k, come from one whole-matrix expression.  The deviation
+    is how far the smallest lies below the floor, over ``max diag(G)``.
+    The log-uniform graphs are far too ill-conditioned for the bound's
+    hypotheses today, so their states carry none and add no case.
+    """
+    for _ in range(graphs):
+        for graph in (random_connected_graph(rng), log_uniform_graph(rng)):
+            order = [int(v) for v in rng.permutation(graph.n)]
+            state = init_label_state(build_laplacian(graph), order[:1], [1.0])
+            for k in order[1:]:
+                bound, g = state.error_bound, state.inverse
+                if bound is not None and bound[0] is g and len(g) > 1:
+                    d = g.diagonal()
+                    denominators = d[None, :] - g * g / d[:, None]
+                    np.fill_diagonal(denominators, np.inf)
+                    floor = 1.0 / (0.5 * bound[1] + bound[2]) - 4.0 * 2.0 ** -53 * d.max()
+                    yield max(0.0, floor - denominators.min()) / d.max()
+                state = downdate_inverse(state, k, float(rng.choice([-1.0, 1.0])))
+
+
 def run_selftest(seed: int = 0, graphs: int = 50) -> list[CheckResult]:
-    """All five oracle checks on independent seed streams."""
+    """All six oracle checks on independent seed streams."""
     if graphs < 1:
         raise UsageError(f"need at least 1 graph per check, got {graphs}")
-    streams = np.random.SeedSequence(seed).spawn(5)
+    streams = np.random.SeedSequence(seed).spawn(6)
     return [
         check_downdate(np.random.default_rng(streams[0]), graphs),
         check_lookahead(np.random.default_rng(streams[1]), graphs),
         check_single_unlabeled(np.random.default_rng(streams[2]), graphs),
         check_eem_bruteforce(np.random.default_rng(streams[3]), min(graphs, 20)),
         check_laplacian_blocks(np.random.default_rng(streams[4]), graphs),
+        check_denominator_bound(np.random.default_rng(streams[5]), graphs),
     ]
 
 

@@ -161,7 +161,7 @@ def next_query(session: BinarySession, rng: np.random.Generator | None = None) -
     def risk_table():
         if session.kind is StrategyKind.ZLG:
             return zlg_risk_table(state, h=session.harmonic)
-        keep = survivors(state, 1, lambda: tsa_table(state, session.decisions))
+        keep = survivors(state, lambda: tsa_table(state, session.decisions))
         return _spread(keep, tsa_risk_table(state, f=session.decisions, candidates=keep), state)
 
     return _choose(session.kind, state, risk_table, rng)
@@ -235,14 +235,11 @@ class MulticlassState(LabelState):
         if self.labels.ndim != 2 or self.class_count < 2:
             raise UsageError(f"need an (|l|, C) label matrix of at least 2 classes, got shape {self.labels.shape}")
 
-    @property
-    def class_count(self) -> int:
-        return self.labels.shape[1]
-
     @cached_property
     def states(self) -> tuple[LabelState, ...]:
         """The C runs as binary states, run c's labels column c (read-only
-        copies), all sharing this state's partition and inverse."""
+        copies), all sharing this state's partition and inverse (but not
+        its ``error_bound``)."""
         runs = np.ascontiguousarray(self.labels.T)
         runs.setflags(write=False)
         return tuple(LabelState(self.lap, self.labeled, y, self.unlabeled, self.inverse) for y in runs)
@@ -261,7 +258,7 @@ def init_multiclass(lap: Laplacian, nodes, classes, class_count: int) -> Multicl
     base = init_label_state(lap, [nodes[i] for i in order], np.where(classes == 0, 1.0, -1.0))
     labels = np.where(classes[:, None] == np.arange(class_count), 1.0, -1.0)
     labels.setflags(write=False)
-    return MulticlassState(base.lap, base.labeled, labels, base.unlabeled, base.inverse)
+    return MulticlassState(base.lap, base.labeled, labels, base.unlabeled, base.inverse, base.error_bound)
 
 
 def _normalize_rows(scores: np.ndarray) -> tuple[np.ndarray, int]:
@@ -424,9 +421,9 @@ def one_vs_rest_table(mstate: MulticlassState, kind: StrategyKind, decisions=Non
             yield contrib
 
     if not tsa:  # zlg is never pruned
-        return RiskTable(mstate, d, terms, weights, 2 * c_count + 5, c_count)
+        return RiskTable(mstate, d, terms, weights, 2 * c_count + 5)
     floor = -(c_count + 2) * np.finfo(float).eps
-    return RiskTable(mstate, d, terms, weights, 2 * c_count + 5, c_count,
+    return RiskTable(mstate, d, terms, weights, 2 * c_count + 5,
                      uncertainty=lambda: 1.0 - weights.max(axis=0), finite=(values, per_node), term_floor=floor)
 
 
@@ -477,7 +474,7 @@ def next_query_multiclass(
     def risk_table():
         if session.kind is StrategyKind.ZLG:
             return multiclass_risk_table(mstate, session.kind, harmonics=session.harmonics)
-        keep = survivors(mstate, mstate.class_count, lambda: one_vs_rest_table(mstate, session.kind, session.decisions))
+        keep = survivors(mstate, lambda: one_vs_rest_table(mstate, session.kind, session.decisions))
         table = multiclass_risk_table(mstate, session.kind, decisions=session.decisions, candidates=keep)
         return _spread(keep, table, mstate)
 

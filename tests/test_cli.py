@@ -240,7 +240,7 @@ def test_experiment_config_errors(tmp_path, capsys, extra, msg):
 def test_selftest_passes_and_reports(capsys):
     code, out, _ = run(capsys, "selftest", "--graphs", "4", "--seed", "3")
     assert code == 0
-    assert out.count("pass") == 5
+    assert out.count("pass") == 6
     assert "downdate-equivalence" in out
 
 

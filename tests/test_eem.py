@@ -420,8 +420,8 @@ def test_a_fully_labeled_state_has_empty_tables_no_survivors_and_no_query():
         raise AssertionError("a table with no candidate needs no record")
 
     assert eem.block_rows(0) == eem.block_rows(0, 3) == 0
-    assert eem.survivors(state, 1, build) is None
-    assert eem.survivors(mstate, 3, build) is None
+    assert eem.survivors(state, build) is None
+    assert eem.survivors(mstate, build) is None
     for table in (
         tsa_risk_table(state),
         zlg_risk_table(state),

@@ -8,11 +8,14 @@ rng draws, survivor entries bitwise equal to the full table's, every pruned
 candidate above the minimum plus the tie tolerance, and the same errors on
 degenerate states.  ``eem.BLOCK_CELLS`` is shrunk so that small graphs run
 several blocks and several chunks of the bound sweep.  ``classes`` is 1 for
-a binary session, C for a one-vs-rest one.  The sweep's denominator
-certificate (``eem._certified``) is held to the guard it stands in for: it
-never passes a state the guard rejects, and on a typical graph it spares
-every select the guard.
+a binary session, C for a one-vs-rest one.  The sweep's two denominator
+certificates, the O(1) check against the error bound that travels with
+``G`` (``eem._bounded``) and the read of ``G``'s upper triangle
+(``eem._certified``), are held to the guard they stand in for: neither
+passes a state the guard rejects, and on a typical graph the first spares
+every select the other two.
 """
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -23,11 +26,19 @@ from hypothesis import strategies as st
 from graphal import eem, strategies
 from graphal.config import DEFAULT_TOLERANCES
 from graphal.errors import DegeneracyError
-from graphal.graph_core import LabelState, build_laplacian, graph_from_edges, init_label_state, positive_components
+from graphal.graph_core import (
+    LabelState,
+    build_laplacian,
+    downdate_inverse,
+    graph_from_edges,
+    init_label_state,
+    positive_components,
+)
 from graphal.inference import sigmoid
-from graphal.selftest import random_connected_graph
+from graphal.selftest import log_uniform_graph, random_connected_graph
 from graphal.strategies import (
     MulticlassSession,
+    MulticlassState,
     StrategyKind,
     init_multiclass,
     next_query,
@@ -96,8 +107,7 @@ def record(session):
 
 def survivors(session):
     """The one survivors function on the session's tsa table."""
-    classes = session.mstate.class_count if is_multiclass(session) else 1
-    return eem.survivors(state_of(session), classes, lambda: record(session))
+    return eem.survivors(state_of(session), lambda: record(session))
 
 
 def select(session, rng=None):
@@ -429,6 +439,88 @@ def test_the_certificate_never_passes_a_state_the_guard_rejects(classes):
     assert seen == {"certified", "fell back", "rejected"}  # every branch was drawn
 
 
+@st.composite
+def log_uniform_runs(draw, classes):
+    """Sessions after a long run of commits (up to all but two nodes) on
+    ``selftest.log_uniform_graph``s, edge weights log-uniform over
+    1e-6..1e6; the commits downdate the state directly, and the session
+    starts on the result."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    graph = log_uniform_graph(rng)
+    order = [int(v) for v in rng.permutation(graph.n)]
+    lap = build_laplacian(graph)
+    if classes == 1:
+        state, start = init_label_state(lap, order[:1], [1.0]), strategies.start_binary
+    else:
+        state, start = init_multiclass(lap, order[:1], [0], classes), start_multiclass
+    for k in order[1:1 + draw(st.integers(0, graph.n - 3))]:
+        c = int(rng.integers(max(2, classes)))
+        label = (1.0, -1.0)[c] if classes == 1 else np.where(np.arange(classes) == c, 1.0, -1.0)
+        state = downdate_inverse(state, k, label)
+    try:
+        return start(state, StrategyKind.TSA)
+    except DegeneracyError:  # a vanished diag(G) fails the session's start, before any select
+        assume(False)
+
+
+@CLASSES
+def test_the_error_bound_never_passes_a_state_the_guard_rejects(classes):
+    seen = set()
+
+    @PROPERTY
+    @given(st.one_of(sessions(classes), near_degenerate_sessions(classes), log_uniform_runs(classes)))
+    def check(session):
+        bounded = eem._bounded(state_of(session))
+        try:
+            eem._guard(record(session))
+        except DegeneracyError:
+            assert not bounded
+            seen.add("rejected")
+        seen.add("bound held" if bounded else "bound failed")
+
+    check()
+    assert seen == {"bound held", "bound failed", "rejected"}  # both branches, and a state to reject
+
+
+@CLASSES
+def test_only_inversions_and_their_downdates_carry_a_usable_bound(classes):
+    session = block_session(0, 2, classes)
+    state = state_of(session)
+    assert eem._bounded(state) and state.error_bound[0] is state.inverse
+    built = (MulticlassState if classes > 1 else LabelState)(
+        state.lap, state.labeled, state.labels, state.unlabeled, state.inverse)
+    others = [
+        state_of(tampered(session, 3, 5, state.inverse[3, 5])),  # G as it was, in a new array
+        dataclasses.replace(state, inverse=state.inverse.copy()),
+        built,
+    ]
+    if classes > 1:
+        others += state.states
+    k = state.unlabeled[7]
+    label = 1.0 if classes == 1 else np.where(np.arange(classes) == 0, 1.0, -1.0)
+    for other in others:
+        assert not eem._bounded(other)
+        assert downdate_inverse(other, k, label if other.class_count > 1 else 1.0).error_bound is None
+    child = downdate_inverse(state, k, label)
+    assert child.error_bound[0] is child.inverse and child.error_bound[1] == state.error_bound[1]
+    assert child.error_bound[2] > state.error_bound[2] and eem._bounded(child)
+
+
+@CLASSES
+def test_the_error_bound_is_scale_free_in_beta(classes):
+    graph = blocks(300, np.random.default_rng(0), max(2, classes))
+    relative = []
+    for beta in (1e-6, 1.0, 1e12):
+        session = session_after(graph, [0, 1, 150, 151], [1.0, 1.0, -1.0, -1.0], 2, np.random.default_rng(0),
+                                classes, beta=beta)
+        state = state_of(session)
+        assert eem._bounded(state), beta
+        _, a, e = state.error_bound
+        relative.append((e / a, state.singular_floor * a))
+    np.testing.assert_allclose(relative[0], relative[1], rtol=1e-6)
+    np.testing.assert_allclose(relative[2], relative[1], rtol=1e-6)
+
+
 @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
 @CLASSES
 def test_a_non_finite_entry_of_g_raises_the_guards_text(classes, value):
@@ -478,10 +570,13 @@ def test_the_certificate_is_scale_free_in_beta(classes):
 
 @pytest.mark.parametrize("classes", [1, 3, 4], ids=["binary", "one-vs-rest-3", "one-vs-rest-4"])
 def test_block_graph_selects_never_run_the_guard(monkeypatch, classes):
-    def guard(table):
-        raise AssertionError("the denominator certificate failed on a well-posed state")
+    # Nor the triangle certificate: the O(1) error-bound check certifies
+    # every select of these well-posed sessions.
+    def fallback(table):
+        raise AssertionError("the error bound failed to certify a well-posed state")
 
-    monkeypatch.setattr(eem, "_guard", guard)
+    monkeypatch.setattr(eem, "_guard", fallback)
+    monkeypatch.setattr(eem, "_certified", fallback)
     for seed in range(3):
         session = block_session(seed, 4, classes)
         m = len(state_of(session).unlabeled)
