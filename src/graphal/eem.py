@@ -98,11 +98,10 @@ def tsa_lookahead_decisions(state: LabelState, f: np.ndarray, q: int, y) -> np.n
     state itself is untouched.
     """
     qi = state.u_index(q)
-    g = state.inverse
-    d = np.diag(g)
+    d = state.diagonal()
     if not d[qi] > state.singular_floor:  # a NaN fails too
         raise DegeneracyError(f"inverse diagonal at node {{}} is {d[qi]:.3e}", q)
-    col = g[qi]
+    col = state.row(qi)
     denom = lookahead_denominators(state, d, col, qi, np.arange(d.size), ([0], [qi]), np.empty((1, d.size)))[0]
     if f.ndim == 2:
         d, col, denom = d[:, None], col[:, None], denom[:, None]
@@ -119,10 +118,10 @@ def zlg_lookahead_harmonic(state: LabelState, h: np.ndarray, q: int, y) -> np.nd
     length-C label vector, like :func:`tsa_lookahead_decisions`.
     """
     qi = state.u_index(q)
-    g = state.inverse
-    if not g[qi, qi] > state.singular_floor:
-        raise DegeneracyError(f"inverse diagonal at node {{}} is {g[qi, qi]:.3e}", q)
-    ratio = g[qi] / g[qi, qi]
+    row = state.row(qi)
+    if not row[qi] > state.singular_floor:
+        raise DegeneracyError(f"inverse diagonal at node {{}} is {row[qi]:.3e}", q)
+    ratio = row / row[qi]
     if h.ndim == 2:
         ratio = ratio[:, None]
     hp = h + (y - h[qi]) * ratio
@@ -225,25 +224,25 @@ def table_rows(table: RiskTable, candidates: np.ndarray | None = None) -> np.nda
     vector as ``v[q]`` and a per-node one as ``v[k]`` (here ``q`` is
     (rows, 1) and ``k`` (1, |u|)), zeroes the q == k entries ``own``, and
     takes ``G_qk`` from ``gather(into)``: a view of ``G`` for the full
-    table, else the rows gathered into ``into``.  ``scratch`` stacks
+    table, else the rows gathered into ``into`` through the state's live
+    slots (``LabelState.take_rows``).  ``scratch`` stacks
     ``slabs`` (rows, |u|) slabs, carved from one allocation per call
     (contents are garbage).  An entry is the same float operations on the
     same operands whatever the block layout, so a subset is bitwise the
     full table's entries (a negative position counts from the end, one at
     or past |u| raises ``IndexError``, as in numpy indexing).
     """
-    m = len(table.state.unlabeled)
-    g, terms = table.state.inverse, table.terms
+    state, terms = table.state, table.terms
+    m = len(state.unlabeled)
+    g = state.inverse if candidates is None else None
     count = m if candidates is None else len(candidates)
-    step = block_rows(m, table.state.class_count)
+    step = block_rows(m, state.class_count)
     work = np.empty((table.slabs, min(step, count), m))
     k = np.arange(m)[None, :]
     risk = np.zeros(count)
 
     def gather(into):
-        # The current block's rows of G.  "wrap" writes ``into`` unbuffered
-        # and reads a negative position as numpy indexing does elsewhere.
-        return g[out] if candidates is None else np.take(g, rows, axis=0, out=into, mode="wrap")
+        return g[out] if candidates is None else state.take_rows(rows, into)
 
     for q0 in range(0, count, step):
         out = slice(q0, min(q0 + step, count))
@@ -254,19 +253,22 @@ def table_rows(table: RiskTable, candidates: np.ndarray | None = None) -> np.nda
 
 
 def lookahead_denominators(state: LabelState, d, g_qk, q, k, own, out) -> np.ndarray:
-    """``G_kk - G_qk^2 / G_qq`` into ``out``, and 1 at the q == k entries ``own``.
+    """``G_kk - G_qk^2 / G_qq`` into ``out``, and ``max diag(G)`` at the q == k entries ``own``.
 
     ``d`` is ``diag(G)``, and the candidate and node positions ``q`` and
     ``k`` broadcast to ``out``'s shape, as ``g_qk`` does, so one copy of
     the arithmetic serves a table's candidate-major blocks, the bound
     sweep's node-major chunks and one row.  An entry at or below
     ``singular_floor``, or a NaN, raises naming the smallest such entry
-    (the first NaN) in ``out``'s order.
+    (the first NaN) in ``out``'s order.  The placeholder scales with
+    ``G``, as the floor does (a constant would fail well-posed states once
+    ``max diag(G)`` passes 1 over the floor's tolerance), and every kernel
+    zeroes its terms there.
     """
     np.multiply(g_qk, g_qk, out=out)
     out /= d[q]
     np.subtract(d[k], out, out=out)
-    out[own] = 1.0
+    out[own] = d.max()
     if not out.min() > state.singular_floor:
         at = np.unravel_index(int(np.argmin(out)), out.shape)
         raise DegeneracyError(
@@ -322,20 +324,27 @@ def tsa_risk_table(state: LabelState, f: np.ndarray | None = None,
     return tsa_table(state, f).rows(candidates)
 
 
+def sweeps(state: LabelState) -> bool:
+    """True if a tsa select on ``state`` tries the bound sweep: its table
+    has more than one block (else the sweep would cost as much as the
+    table), decided from |u| and ``state.class_count``.  A tsa session
+    owns its ``G`` exactly while this holds (``strategies._commit``)."""
+    m = len(state.unlabeled)
+    return block_rows(m, state.class_count) < m
+
+
 def survivors(state: LabelState, build) -> np.ndarray | None:
     """Positions of the candidates whose exact risk may tie the minimum of
     the table ``build()`` returns, binary or one-vs-rest (the class count
     is ``state.class_count``): the one caller of :func:`bound_sweep`, most
     uncertain nodes first.
 
-    None where pruning is not tried: a table of one block (the sweep would
-    cost as much as the table) or of no candidate, decided from |u| and
-    the class count before any record is built; a table without
+    None where pruning is not tried: where :func:`sweeps` is False (one
+    block, or no candidate), before any record is built; a table without
     ``uncertainty``; and ``finite`` operands that are not (a NaN term could
     hide in an unswept node; the table shows it).
     """
-    m = len(state.unlabeled)
-    if block_rows(m, state.class_count) == m:
+    if not sweeps(state):
         return None
     table = build()
     if table.uncertainty is None or not all(np.isfinite(v).all() for v in table.finite):
@@ -365,7 +374,8 @@ def bound_sweep(table: RiskTable, order) -> np.ndarray:
        drop, so the per-chunk work stays large next to its fixed cost.
        The kernel runs node-major: ``q`` is (1, live) and ``k`` (nodes,
        1), and ``gather`` returns the chunk's ``G_qk``, gathered once
-       along row k (``G`` is exactly symmetric).
+       along row k (``G`` is exactly symmetric) by one flat ``take``
+       through the state's live slots (``LabelState.slots``).
     3. After each chunk the live candidate with the smallest bound is
        scored by one :func:`table_rows` row, scaled as the bounds are; the
        smallest such score is ``best``.  A candidate whose bound (or exact
@@ -388,7 +398,6 @@ def bound_sweep(table: RiskTable, order) -> np.ndarray:
     """
     state, terms, weights, slabs = table.state, table.terms, table.weights, table.slabs
     m = len(order)
-    g = state.inverse
     if not (_bounded(state) or _certified(table)):
         _guard(table)
     width = min(SWEEP_COLUMNS, max(1, BLOCK_CELLS // m))
@@ -412,8 +421,10 @@ def bound_sweep(table: RiskTable, order) -> np.ndarray:
         gk, scratch = cells[0], cells[1:]
         own = np.flatnonzero((rank[rows] >= pos) & (rank[rows] < pos + cols.size))
         own = (rank[rows[own]] - pos, own)  # the q == k entries in this chunk
-        idx = np.add((cols * m)[:, None], rows[None, :], out=idx_buf[:gk.size].reshape(shape))
-        np.take(g.reshape(-1), idx, out=gk, mode="wrap")  # "wrap" writes ``out`` unbuffered
+        flat, ld, slot = state.slots()
+        at_k, at_q = (cols, rows) if slot is None else (slot[cols], slot[rows])
+        idx = np.add((at_k * ld)[:, None], at_q[None, :], out=idx_buf[:gk.size].reshape(shape))
+        np.take(flat, idx, out=gk, mode="wrap")  # "wrap" writes ``out`` unbuffered
         for acc, t in zip(sums, terms(lambda into: gk, rows[None, :], cols[:, None], own, scratch)):
             acc[rows] += t.sum(axis=0)
         weighted = weights[0][rows] * sums[0, rows]
@@ -439,8 +450,9 @@ def _bounded(state: LabelState) -> bool:
     """True if ``state.error_bound`` proves every lookahead denominator
     ``G_kk - G_qk^2 / G_qq`` (``q != k``) above ``singular_floor``: one
     comparison, ``2f (a/2 + e) <= 1`` with ``f`` the floor.  False where
-    the bound fails it or does not describe ``state.inverse``; the caller
-    then runs :func:`_certified`.
+    the bound fails it or does not describe the state's ``G`` (its array,
+    or its owned buffer at its version); the caller then runs
+    :func:`_certified`.
 
     The proof, with ``A = L_uu``, ``u = 2^-53`` and ``G`` the stored,
     bitwise symmetric inverse:
@@ -483,8 +495,8 @@ def _bounded(state: LabelState) -> bool:
        ``f``; the comparison's own few roundings, a few ``u`` relative,
        fit in the same factor 2.
     """
-    bound = state.error_bound
-    if bound is None or bound[0] is not state.inverse:
+    bound = state._error_bound  # the stored form, whose first entry is G's store
+    if bound is None or bound[0] is not state._inverse:
         return False
     _, a, e = bound
     return bool(2.0 * state.singular_floor * (0.5 * a + e) <= 1.0)

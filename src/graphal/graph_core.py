@@ -17,6 +17,15 @@ reader may take ``G_qk`` from row q, the contiguous one.  Node positions
 are found by bisection on the ascending node tuples, so a commit does no
 O(|u|) Python work.
 
+A downdate returns a new state with a fresh copy of ``G`` by default.  A
+session that asks to own its ``G`` (``own=True``, a pruning tsa session)
+gets that copy once, at its first commit; from then on each commit
+downdates the buffer in place, leaves the labeled node's row and column
+as a dead slot, and consumes the state before it.  The hot readers go
+through the live slots (:meth:`LabelState.slots`), so no |u|^2 data
+moves; ``inverse`` compacts the buffer in place, as does a commit once
+half the slots are dead.
+
 ``G`` is dense by design: the target graphs (a few thousand nodes) fit
 comfortably, and the downdate rule is stated for dense inverses.  The
 Laplacian is not: it keeps the edges, O(n + |E|), and scatters the blocks
@@ -208,6 +217,83 @@ def positive_components(lap: Laplacian) -> list[tuple[int, ...]]:
     return [tuple(part.tolist()) for part in np.split(order, cuts)]
 
 
+class _Owned:
+    """The buffer of ``G`` that one session owns and downdates in place.
+
+    ``G`` is rows and columns ``live`` (ascending; None: all) of the C-order
+    ``ld`` x ``ld`` matrix at the head of ``flat``; the other slots are
+    dead, labeled nodes' rows and columns left where they were.
+    ``version`` counts the commits, and a state holds the stamp ``(buffer,
+    version)``: it reads the buffer only at its own version.  ``view`` is
+    the compact ``G`` once :meth:`read` has made it, until the next commit.
+    """
+
+    __slots__ = ("flat", "ld", "live", "version", "view")
+
+    def __init__(self, matrix: np.ndarray):
+        self.flat, self.ld, self.live, self.version, self.view = matrix.reshape(-1), len(matrix), None, 0, None
+
+    def open(self, version: int) -> _Owned:
+        if version != self.version:
+            raise UsageError("this state's G was consumed by a later in-place commit of its session")
+        return self
+
+    def matrix(self) -> np.ndarray:
+        return self.flat[:self.ld * self.ld].reshape(self.ld, self.ld)
+
+    def compact(self) -> None:
+        """Move the live rows and columns to the head, in place: row i's
+        live columns to ``flat[i m:(i + 1) m]``, one row at a time through
+        a buffered ``take``.  Nothing is overwritten before it is read:
+        row i's destination ends before row i + 1 starts, as ``live[i] >=
+        i``."""
+        live, g = self.live, self.matrix()
+        if live is None:
+            return
+        m = live.size
+        for i, p in enumerate(live.tolist()):
+            np.take(g[p], live, out=self.flat[i * m:(i + 1) * m])  # mode "raise" buffers ``out``
+        self.ld, self.live = m, None
+
+    def read(self, version: int) -> np.ndarray:
+        """The compact (|u|, |u|) ``G`` at ``version``, read-only, one view per version."""
+        if self.open(version).view is None:
+            self.compact()
+            self.view = self.matrix()
+            self.view.setflags(write=False)
+        return self.view
+
+
+class _InverseField:
+    """``LabelState.inverse``: a read-only ndarray, or an :class:`_Owned`
+    buffer's ``(buffer, version)`` stamp, compacted in place on first read."""
+
+    def __get__(self, state, owner=None):
+        if state is None:
+            raise AttributeError("inverse has no default")
+        g = state._inverse
+        return g if type(g) is not tuple else g[0].read(g[1])
+
+    def __set__(self, state, value):
+        state.__dict__["_inverse"] = value
+
+
+class _BoundField:
+    """``LabelState.error_bound``, kept as ``(G's store, a, e)`` and read as
+    ``(inverse, a, e)`` while the store is the state's own."""
+
+    def __get__(self, state, owner=None):
+        if state is None:
+            return None
+        bound = state._error_bound
+        if bound is not None and bound[0] is state._inverse and type(bound[0]) is tuple:
+            return (state.inverse, *bound[1:])
+        return bound
+
+    def __set__(self, state, value):
+        state.__dict__["_error_bound"] = value
+
+
 @dataclass(frozen=True)
 class LabelState:
     """Partition of the nodes plus the maintained inverse of ``L_uu``.
@@ -219,21 +305,32 @@ class LabelState:
     symmetric ``G = inv(L_uu)``, rows/columns aligned with ``unlabeled``.
     Instances are immutable values; operations return new states.
 
+    ``G`` is a read-only array, or, for a pruning tsa session after its
+    first commit, a buffer that the session owns and downdates in place
+    (:func:`downdate_inverse` with ``own=True``).  Such a state reads
+    ``G`` through its live slots (:meth:`slots`, :meth:`diagonal`,
+    :meth:`row`, :meth:`take_rows`); ``inverse`` compacts the buffer in
+    place and returns a read-only view of it, valid until the session's
+    next commit.  Once a commit has consumed the state, every read of its
+    ``G`` raises :class:`UsageError`; ``labels``, ``lap`` and the node
+    tuples still read.
+
     ``error_bound`` is None or ``(array, a, e)``: ``array`` is proved the
     exact inverse of ``L_uu + E`` with ``||E||_2 <= e`` and ``a >=
     ||L_uu||_2`` (``init_label_state`` and ``downdate_inverse`` set it;
-    the proof is ``eem._bounded``'s).  It describes ``inverse`` only while
-    ``array is inverse``, so a state built by hand, by
-    ``dataclasses.replace(state, inverse=...)`` or as a
-    ``MulticlassState.states`` view carries no usable bound.
+    the proof is ``eem._bounded``'s).  It describes ``G`` only while it
+    was made for this state's ``G`` (this array, or this buffer at this
+    version), so a state built by hand, by ``dataclasses.replace(state,
+    inverse=...)`` or as a ``MulticlassState.states`` view carries no
+    usable bound.
     """
 
     lap: Laplacian
     labeled: tuple[int, ...]
     labels: np.ndarray
     unlabeled: tuple[int, ...]
-    inverse: np.ndarray
-    error_bound: tuple | None = None
+    inverse: np.ndarray = _InverseField()
+    error_bound: tuple | None = _BoundField()
 
     @property
     def class_count(self) -> int:
@@ -247,6 +344,40 @@ class LabelState:
             raise UsageError("node {} is not unlabeled", node)
         return i
 
+    def slots(self) -> tuple[np.ndarray, int, np.ndarray | None]:
+        """``(flat, ld, live)``: ``G_ij`` is ``flat[live[i] * ld + live[j]]``,
+        or ``flat[i * ld + j]`` where ``live`` is None.  No copy is made."""
+        g = self._inverse
+        if type(g) is tuple:
+            owned = g[0].open(g[1])
+            return owned.flat, owned.ld, owned.live
+        return g.reshape(-1), len(g), None
+
+    def diagonal(self) -> np.ndarray:
+        """``diag(G)`` in a fresh array."""
+        if type(g := self._inverse) is not tuple:  # an array: the common case, kept cheap per call
+            return g.diagonal().copy()
+        flat, ld, live = self.slots()
+        return flat[:ld * ld:ld + 1].copy() if live is None else flat[live * (ld + 1)]
+
+    def row(self, i: int) -> np.ndarray:
+        """Row ``i`` of ``G`` (column i too: ``G`` is bitwise symmetric)."""
+        if type(g := self._inverse) is not tuple:
+            return g[i]
+        flat, ld, live = self.slots()
+        if live is None:
+            return flat[i * ld:(i + 1) * ld]
+        return flat[live[i] * ld:(live[i] + 1) * ld][live]
+
+    def take_rows(self, positions: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Rows ``positions`` of ``G`` into ``out``, a negative position
+        counting from the end as in numpy indexing.  Where slots are dead,
+        one flat ``take`` through an index of ``out``'s size."""
+        flat, ld, live = self.slots()
+        if live is None:  # "wrap" writes ``out`` unbuffered
+            return np.take(flat[:ld * ld].reshape(ld, ld), positions, axis=0, out=out, mode="wrap")
+        return np.take(flat, np.add.outer(live[positions] * ld, live), out=out)
+
     @cached_property
     def singular_floor(self) -> float:
         """Level at or below which a pivot or lookahead denominator is degenerate.
@@ -257,7 +388,7 @@ class LabelState:
         degenerate at large beta; relative to ``max diag(G)`` the guards
         are scale-free.  Needs at least one unlabeled node.
         """
-        return DEFAULT_TOLERANCES.singularity * self.inverse.diagonal().max()
+        return DEFAULT_TOLERANCES.singularity * self.diagonal().max()
 
     def checked_diagonal(self) -> np.ndarray:
         """``diag(G)`` as a contiguous copy, each entry above ``singular_floor``.
@@ -266,7 +397,7 @@ class LabelState:
         block; the strided view of ``np.diag`` makes that broadcast slower.
         Empty when no node is unlabeled.
         """
-        d = self.inverse.diagonal().copy()
+        d = self.diagonal()
         if d.size and not d.min() > self.singular_floor:  # a NaN fails too; argmin names the first
             bad = self.unlabeled[int(np.argmin(d))]
             raise DegeneracyError("inverse diagonal vanished at node {}", bad)
@@ -429,7 +560,7 @@ def init_label_state(lap: Laplacian, labeled, labels) -> LabelState:
     return LabelState(lap, labeled, y, unlabeled, inv, _inversion_bound(lap, inv))
 
 
-def downdate_inverse(state: LabelState, k: int, label) -> LabelState:
+def downdate_inverse(state: LabelState, k: int, label, own: bool = False) -> LabelState:
     """Move node ``k`` from unlabeled to labeled, updating the inverse.
 
     ``label`` is a +/-1 scalar for a state with a label vector, a length-C
@@ -458,13 +589,25 @@ def downdate_inverse(state: LabelState, k: int, label) -> LabelState:
     ``*bitwise_equal_to_gathering_form`` and ``*bitwise_symmetric*`` tests
     catch both.  ``state`` is left as it was.
 
-    The result's ``error_bound`` is ``(new_inv, a, e + a'^2 r / (1 - a'
-    r))`` where ``state``'s describes its inverse (``state.error_bound[0]
-    is state.inverse``) and ``a' r < 1/2``, else None.  ``a' = a + e``
-    bounds ``||L_uu + E||_2``, and ``r = 8 u |u| max diag(G)`` (``u =
-    2^-53``, ``max diag(G)`` read back from ``singular_floor``) bounds the
-    downdate's roundings in 2-norm: an entry is off by at most ``6.001 u
-    max diag(G)``.  O(1) per commit (``eem._bounded`` has the proof).
+    ``own=True`` is a session's commit: the session keeps only the result
+    and never reads ``state``'s ``G`` again.  The result then owns its
+    ``G``.  Where ``state`` owns one already, the same ``dgemm`` runs on
+    that buffer in place, ``s`` holding 0 at the dead slots and at k: every
+    live entry is ``round(g_ij - round(s_i s_j))`` as above, bitwise,
+    nothing of O(|u|^2) is moved or allocated, and k's row and column stay
+    behind as a dead slot.  That consumes ``state``.  Once half the slots
+    are dead, the buffer is compacted in place, so the commit stays
+    O(|u|^2) in the live slots.  Otherwise (the session's first commit)
+    the copy above becomes the result's buffer, so a state that several
+    sessions share is never written.
+
+    The result's ``error_bound`` is ``(new G, a, e + a'^2 r / (1 - a'
+    r))`` where ``state``'s describes its ``G`` and ``a' r < 1/2``, else
+    None.  ``a' = a + e`` bounds ``||L_uu + E||_2``, and ``r = 8 u |u| max
+    diag(G)`` (``u = 2^-53``, |u| after the commit, ``max diag(G)`` read
+    back from ``singular_floor``) bounds the downdate's roundings in
+    2-norm: an entry is off by at most ``6.001 u max diag(G)``.  O(1) per
+    commit (``eem._bounded`` has the proof).
     """
     qi = state.u_index(k)
     labels = state.labels
@@ -473,32 +616,52 @@ def downdate_inverse(state: LabelState, k: int, label) -> LabelState:
             raise InputError(f"label must be +1 or -1, got {label}")
     elif np.shape(label) != labels.shape[1:] or not np.all(np.abs(label) == 1.0):
         raise InputError(f"label must be a row of {labels.shape[1]} entries +1 or -1, got {label}")
-    g = state.inverse
-    pivot = g[qi, qi]
+    store = state._inverse
+    owned = store[0].open(store[1]) if own and type(store) is tuple else None
+    row = state.row(qi)
+    pivot = row[qi]
     if not pivot > state.singular_floor:
         raise DegeneracyError(f"inverse diagonal at node {{}} is {pivot:.3e}; cannot downdate", k)
 
-    s = np.concatenate((g[qi, :qi], g[qi, qi + 1:]))
-    s /= np.sqrt(pivot)
-    new_inv = np.empty((s.size, s.size))
-    new_inv[:qi, :qi], new_inv[:qi, qi:] = g[:qi, :qi], g[:qi, qi + 1:]
-    new_inv[qi:, :qi], new_inv[qi:, qi:] = g[qi + 1:, :qi], g[qi + 1:, qi + 1:]
+    m = len(state.unlabeled) - 1
+    if owned is None:
+        g = state.inverse
+        s = np.concatenate((row[:qi], row[qi + 1:]))
+        s /= np.sqrt(pivot)
+        new_inv = np.empty((m, m))
+        new_inv[:qi, :qi], new_inv[:qi, qi:] = g[:qi, :qi], g[:qi, qi + 1:]
+        new_inv[qi:, :qi], new_inv[qi:, qi:] = g[qi + 1:, :qi], g[qi + 1:, qi + 1:]
+    else:
+        live = np.arange(owned.ld) if owned.live is None else owned.live
+        s = np.zeros(owned.ld)
+        s[live] = row / np.sqrt(pivot)
+        s[live[qi]] = 0.0
+        new_inv = owned.matrix()
     if s.size:  # new_inv.T is Fortran-ordered, so dgemm updates it in place
         new_inv = scipy.linalg.blas.dgemm(
             -1.0, s[:, None], s[None, :], beta=1.0, c=new_inv.T, overwrite_c=1
         ).T
-    new_inv.setflags(write=False)
+    if owned is not None:
+        owned.version, owned.view, owned.live = owned.version + 1, None, np.delete(live, qi)
+        if 2 * m <= owned.ld:
+            owned.compact()
+        new_store = (owned, owned.version)
+    elif own:
+        new_store = (_Owned(new_inv), 0)
+    else:
+        new_inv.setflags(write=False)
+        new_store = new_inv
 
     pos = bisect.bisect_left(state.labeled, k)
     new_labels = np.empty((len(labels) + 1, *labels.shape[1:]))
     new_labels[:pos], new_labels[pos], new_labels[pos + 1:] = labels[:pos], label, labels[pos:]
     new_labels.setflags(write=False)
-    bound = state.error_bound
-    if bound is not None and bound[0] is g:
+    bound = state._error_bound
+    if bound is not None and bound[0] is store:
         _, a, e = bound
         a_e = a + e
-        a_r = a_e * _DOWNDATE_ROUNDING * s.size * float(state.singular_floor)
-        bound = (new_inv, a, e + a_e * a_r / (1.0 - a_r)) if a_r < 0.5 else None
+        a_r = a_e * _DOWNDATE_ROUNDING * m * float(state.singular_floor)
+        bound = (new_store, a, e + a_e * a_r / (1.0 - a_r)) if a_r < 0.5 else None
     else:
         bound = None
     return type(state)(
@@ -506,7 +669,7 @@ def downdate_inverse(state: LabelState, k: int, label) -> LabelState:
         state.labeled[:pos] + (k,) + state.labeled[pos:],
         new_labels,
         state.unlabeled[:qi] + state.unlabeled[qi + 1:],
-        new_inv,
+        new_store,
         bound,
     )
 

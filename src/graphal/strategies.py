@@ -13,20 +13,22 @@ Five selection rules:
 VOpt and SOpt read only the maintained inverse ``G``, never the observed
 labels, so their choices are invariant under any relabeling — they spend
 queries on graph geometry alone.  All five share the same per-query
-budget: one O(|u|^2) selection sweep plus one O(|u|^2) downdate.
+budget: at most one O(|u|^2) selection sweep (a pruned tsa select reads a
+fraction of ``G``) plus one O(|u|^2) downdate, which a tsa session whose
+selects prune runs in place on a ``G`` it owns: no |u|^2 data moves.
 
 A session bundles the evolving :class:`~graphal.graph_core.LabelState`
 with the incrementally maintained harmonic vector (all kinds; it is the
 prediction surface) and decision vector (tsa only).  Commits never
 re-invert: the closed-form lookahead update with the realized label *is*
-the maintenance step.
+the harmonic vector's maintenance step, and the decision vector is then
+its definition ``2 h / diag(G)`` on the downdated state.
 
 One-vs-rest runs C of these binary rules over one shared partition and
 inverse, on the binary code: a :class:`MulticlassState` is a ``LabelState``
 whose labels are an (|l|, C) +/-1 matrix, so its harmonics are one
 :func:`lp_harmonic`, a commit is one :func:`downdate_inverse` with the
-observed class's +/-1 row, and both session kinds roll their vectors by
-``_roll``.
+observed class's +/-1 row, and both session kinds commit by ``_commit``.
 Only the risk table has its own one-vs-rest arithmetic: one kernel in an
 ``eem.RiskTable`` record (:func:`one_vs_rest_table`), run by the binary
 tables' two drivers and read through the same ``RiskTable.rows``.  tsa
@@ -48,10 +50,10 @@ from .eem import (
     argmin_ties,
     lookahead_denominators,
     survivors,
+    sweeps,
     tsa_risk_table,
     tsa_table,
     zlg_risk_table,
-    tsa_lookahead_decisions,
     zlg_lookahead_harmonic,
 )
 from .inference import _saturating_tail, lp_harmonic, sigmoid, tsa_marginals
@@ -177,23 +179,32 @@ def _spread(keep, table: np.ndarray, state: LabelState) -> np.ndarray:
     return scores
 
 
-def _roll(state: LabelState, harmonic: np.ndarray, decisions, node: int, y):
-    """Selection's lookahead updates at the realized outcome, ``node``'s row
-    dropped: ``y`` is a label with vectors, or a length-C +/-1 vector with
-    (|u|, C) matrices.  ``decisions`` is None unless the kind is tsa."""
+def _commit(kind: StrategyKind, state: LabelState, harmonic: np.ndarray, node: int, y):
+    """The state and harmonic values after observing ``y`` at ``node``, and
+    the decision values for tsa (else None).  ``y`` is a label with a
+    harmonic vector, or a length-C +/-1 vector with (|u|, C) matrices.
+
+    The harmonic values roll by the selection's own lookahead update,
+    ``node``'s row dropped; then the inverse is downdated, in place where
+    the session owns it: a tsa session whose selects sweep
+    (``eem.sweeps``).  The decision values are their definition ``2 h /
+    diag(G)`` on the new state, as at the session's start.
+    """
     qi = state.u_index(node)
     h = zlg_lookahead_harmonic(state, harmonic, node, y)
-    if decisions is not None:
-        f = tsa_lookahead_decisions(state, decisions, node, y)
-        decisions = np.concatenate((f[:qi], f[qi + 1:]))
-    return np.concatenate((h[:qi], h[qi + 1:])), decisions
+    h = np.concatenate((h[:qi], h[qi + 1:]))
+    tsa = kind is StrategyKind.TSA
+    state = downdate_inverse(state, node, y, own=tsa and sweeps(state))
+    if not tsa:
+        return state, h, None
+    d = state.checked_diagonal()
+    return state, h, 2.0 * h / (d if h.ndim == 1 else d[:, None])
 
 
 def update(session: BinarySession, node: int, label: float) -> BinarySession:
-    """Absorb an observed label: :func:`_roll` the vectors, then downdate
-    the inverse; no re-inversion."""
-    h, f = _roll(session.state, session.harmonic, session.decisions, node, label)
-    return replace(session, state=downdate_inverse(session.state, node, label), harmonic=h, decisions=f)
+    """Absorb an observed label (:func:`_commit`); no re-inversion."""
+    state, h, f = _commit(session.kind, session.state, session.harmonic, node, label)
+    return replace(session, state=state, harmonic=h, decisions=f)
 
 
 def _node_index(nodes: tuple[int, ...]) -> np.ndarray:
@@ -238,11 +249,12 @@ class MulticlassState(LabelState):
     @cached_property
     def states(self) -> tuple[LabelState, ...]:
         """The C runs as binary states, run c's labels column c (read-only
-        copies), all sharing this state's partition and inverse (but not
-        its ``error_bound``)."""
+        copies), all sharing this state's partition and ``G`` (but not its
+        ``error_bound``).  Building them reads no ``G``, so the runs of a
+        consumed state keep their labels, and raise where it does."""
         runs = np.ascontiguousarray(self.labels.T)
         runs.setflags(write=False)
-        return tuple(LabelState(self.lap, self.labeled, y, self.unlabeled, self.inverse) for y in runs)
+        return tuple(LabelState(self.lap, self.labeled, y, self.unlabeled, self._inverse) for y in runs)
 
 
 def init_multiclass(lap: Laplacian, nodes, classes, class_count: int) -> MulticlassState:
@@ -484,16 +496,16 @@ def next_query_multiclass(
 def update_multiclass(
     session: MulticlassSession, node: int, observed_class: int
 ) -> MulticlassSession:
-    """Absorb an observed class: :func:`_roll` the per-class vectors at the
-    outcome ``y`` (+1 in its class's column, -1 elsewhere), then downdate
-    the inverse with ``y`` as the node's label row; no re-inversion."""
+    """Absorb an observed class: :func:`_commit` at the outcome ``y`` (+1
+    in its class's column, -1 elsewhere), ``y`` the node's label row; no
+    re-inversion."""
     mstate = session.mstate
     (c,) = whole_numbers([observed_class], "class id", UsageError)
     if not 0 <= c < mstate.class_count:
         raise UsageError(f"class id {observed_class!r} out of range")
     y = np.where(np.arange(mstate.class_count) == c, 1.0, -1.0)
-    h, f = _roll(mstate, session.harmonics, session.decisions, node, y)
-    return replace(session, mstate=downdate_inverse(mstate, node, y), harmonics=h, decisions=f)
+    mstate, h, f = _commit(session.kind, mstate, session.harmonics, node, y)
+    return replace(session, mstate=mstate, harmonics=h, decisions=f)
 
 
 def predict_multiclass(session: MulticlassSession) -> np.ndarray:

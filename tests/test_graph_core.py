@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from graphal import eem, graph_core, harness, strategies
 from graphal.errors import (
     DegeneracyError,
     InputError,
@@ -25,10 +26,13 @@ from graphal.graph_core import (
     positive_components,
     read_edge_list,
 )
+from graphal.harness import run_experiment
 from graphal.selftest import check_long_downdate, grounded_inverse, random_connected_graph
 from graphal.strategies import (
     StrategyKind,
     init_multiclass,
+    next_query,
+    next_query_multiclass,
     start_binary,
     start_multiclass,
     update,
@@ -268,6 +272,153 @@ def test_downdate_returns_fresh_read_only_values_and_leaves_the_parent_alone():
     finally:
         tracemalloc.stop()
     assert peak <= 1.1 * m2, f"peak {peak / m2:.2f} x (|u|-1)^2 doubles"
+
+
+# --- sessions that own G: in-place commits --------------------------------------
+
+
+def tsa_session(graph, classes, rng):
+    """A tsa session on ``graph`` from one labeled node, its truth, and its commit."""
+    order = [int(v) for v in rng.permutation(graph.n)]
+    lap = build_laplacian(graph)
+    if classes == 1:
+        truth = np.where(rng.random(graph.n) < 0.5, 1.0, -1.0)
+        session = start_binary(init_label_state(lap, order[:1], truth[order[:1]]), StrategyKind.TSA)
+        return session, order[1:], truth, update
+    truth = rng.integers(classes, size=graph.n)
+    session = start_multiclass(init_multiclass(lap, order[:1], truth[order[:1]], classes), StrategyKind.TSA)
+    return session, order[1:], truth, update_multiclass
+
+
+def state_of(session):
+    return session.mstate if isinstance(session, strategies.MulticlassSession) else session.state
+
+
+def label_of(state, truth, v):
+    """Node ``v``'s label in ``state``'s form: +/-1, or a one-vs-rest row."""
+    if state.class_count == 1:
+        return truth[v]
+    return np.where(np.arange(state.class_count) == truth[v], 1.0, -1.0)
+
+
+def live_inverse(state):
+    """``G`` gathered through the state's live slots, without compacting its buffer."""
+    flat, ld, live = state.slots()
+    g = flat[:ld * ld].reshape(ld, ld)
+    return g.copy() if live is None else g[np.ix_(live, live)]
+
+
+@pytest.mark.parametrize("classes", [1, 3], ids=["binary", "one-vs-rest-3"])
+def test_owned_commits_to_the_end_are_bitwise_equal_to_chained_downdates(monkeypatch, classes):
+    # One cell per block: every select would sweep, so the session owns G
+    # from its first commit until one node is left, and its buffer is
+    # compacted each time half its slots are dead.
+    monkeypatch.setattr(eem, "BLOCK_CELLS", 1)
+    session, order, truth, commit = tsa_session(random_connected_graph(np.random.default_rng(21), 70, 70),
+                                                classes, np.random.default_rng(21))
+    reference = state_of(session)
+    compactions = []
+    compact = graph_core._Owned.compact
+    monkeypatch.setattr(graph_core._Owned, "compact",
+                        lambda owned: compactions.append(owned.live is not None) or compact(owned))
+    dead = 0
+    for v in order:
+        reference = downdate_inverse(reference, v, label_of(reference, truth, v))
+        session = commit(session, v, truth[v])
+        state = state_of(session)
+        g = live_inverse(state)
+        assert np.array_equal(g, reference.inverse), f"|u| = {len(g)}"
+        assert np.array_equal(g, g.T)
+        assert state.labeled == reference.labeled and np.array_equal(state.labels, reference.labels)
+        assert state._error_bound[1:] == reference.error_bound[1:]  # error_bound would compact, as inverse does
+        dead = max(dead, state.slots()[1] - len(g))
+    assert not state.unlabeled
+    assert dead > 1 and sum(compactions) >= 3  # dead slots stayed, then were compacted away
+
+
+def test_an_owned_commit_allocates_no_square_array(monkeypatch):
+    # A commit on a buffer the session owns moves and allocates nothing of
+    # O(|u|^2): its scratch is a few |u|-vectors, a compaction's included.
+    # One copied buffer (89,401 doubles here) would not fit.
+    monkeypatch.setattr(eem, "BLOCK_CELLS", 1)  # the session owns G to the end
+    session, order, truth, _ = tsa_session(random_connected_graph(np.random.default_rng(4), 300, 300), 1,
+                                           np.random.default_rng(4))
+    session = update(session, order[0], truth[order[0]])  # the first commit copies
+    m = len(session.state.unlabeled)
+    budget = 12 * m * 8
+    peaks = []
+    for v in order[1:m // 2 + 2]:  # past half the slots dead: one compaction
+        tracemalloc.start()
+        try:
+            session = update(session, v, truth[v])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        peaks.append(peak)
+    assert session.state.slots()[1] < 300 - 2  # compacted
+    assert max(peaks) < budget, f"peak {max(peaks) / 8 / m:.1f} |u|-vectors"
+
+
+@pytest.mark.parametrize("classes", [1, 3], ids=["binary", "one-vs-rest-3"])
+def test_a_consumed_state_raises_on_reads_of_g(monkeypatch, classes):
+    monkeypatch.setattr(eem, "BLOCK_CELLS", 1)
+    session, order, truth, commit = tsa_session(random_connected_graph(np.random.default_rng(9), 40, 40),
+                                                classes, np.random.default_rng(9))
+    owned = commit(session, order[0], truth[order[0]])  # the first commit copies: its parent stays readable
+    assert np.array_equal(state_of(session).inverse, state_of(session).inverse.T)
+    after = commit(owned, order[1], truth[order[1]])
+    consumed = state_of(owned)
+    label = label_of(consumed, truth, order[2])
+    reads = [
+        lambda s: s.inverse, lambda s: s.error_bound, lambda s: s.diagonal(), lambda s: s.row(0),
+        lambda s: s.slots(), lambda s: s.checked_diagonal(), lambda s: downdate_inverse(s, order[2], label),
+    ]
+    for read in reads:
+        with pytest.raises(UsageError, match="consumed by a later in-place commit"):
+            read(consumed)
+    select = next_query if classes == 1 else next_query_multiclass
+    with pytest.raises(UsageError, match="consumed"):
+        select(owned)
+    with pytest.raises(UsageError, match="consumed"):
+        commit(owned, order[2], truth[order[2]])
+    assert len(consumed.labels) == len(consumed.labeled) == 2 and consumed.lap is state_of(after).lap
+    if classes > 1:
+        runs = consumed.states  # built after the commit that consumed it: reads no G
+        for c, run in enumerate(runs):
+            assert np.array_equal(run.labels, consumed.labels[:, c]) and run.lap is consumed.lap
+        with pytest.raises(UsageError, match="consumed"):
+            runs[0].inverse
+    select(after)  # the session's current state reads on
+
+
+@pytest.mark.parametrize("classes", [2, 3])
+def test_run_experiment_never_writes_the_shared_start_state(monkeypatch, classes):
+    # Every strategy of a trial starts from one state; tsa sessions that
+    # own their G copy it at their first commit, then commit in place.
+    monkeypatch.setattr(eem, "BLOCK_CELLS", 1)
+    graph = random_connected_graph(np.random.default_rng(3), 30, 30)
+    dataset = harness.Dataset("g", graph, np.random.default_rng(3).integers(classes, size=30), classes)
+    starts, owned = [], []
+    start_state = harness._start_state
+
+    def recorded(*args):
+        state = start_state(*args)
+        starts.append((state, state.inverse.copy(), state.labels.copy()))
+        return state
+
+    downdate = strategies.downdate_inverse
+
+    def counted(state, k, label, own=False):
+        owned.append(own and type(state._inverse) is tuple)  # a (buffer, version) stamp
+        return downdate(state, k, label, own=own)
+
+    monkeypatch.setattr(harness, "_start_state", recorded)
+    monkeypatch.setattr(strategies, "downdate_inverse", counted)
+    run_experiment(dataset, list(StrategyKind), 12, 2, 5)
+    assert len(starts) == 2 and sum(owned) == 2 * 11  # every tsa commit after the first ran in place
+    for state, g, labels in starts:
+        assert np.array_equal(state.inverse.view(np.uint64), g.view(np.uint64))
+        assert np.array_equal(state.labels, labels) and not state.inverse.flags.writeable
 
 
 def exact_grounded_inverse(graph, labeled):

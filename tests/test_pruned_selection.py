@@ -521,6 +521,22 @@ def test_the_error_bound_is_scale_free_in_beta(classes):
     np.testing.assert_allclose(relative[2], relative[1], rtol=1e-6)
 
 
+@CLASSES
+def test_a_large_inverse_selects_and_commits_as_the_full_table_chooses(classes):
+    # At beta 1e-13, max diag(G) is 2.8e12 and the floor 2.8: the q == k
+    # placeholder of the lookahead denominators must scale with G, or every
+    # select and commit of this well-posed state raises.
+    graph = blocks(300, np.random.default_rng(0), 2)
+    session = session_after(graph, [0, 1, 150, 151], [1.0, 1.0, -1.0, -1.0], 0, np.random.default_rng(0),
+                            classes, beta=1e-13)
+    assert state_of(session).singular_floor > 1.0
+    for _ in range(3):
+        state = state_of(session)
+        q = select(session)
+        assert q == state.unlabeled[eem.argmin_ties(table(session))]
+        session = (update(session, q, 1.0) if classes == 1 else update_multiclass(session, q, 0))
+
+
 @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
 @CLASSES
 def test_a_non_finite_entry_of_g_raises_the_guards_text(classes, value):

@@ -118,6 +118,8 @@ def test_session_vectors_stay_in_sync_with_state(kind):
         session = update(session, q, float(rng.choice([-1.0, 1.0])))
     assert np.max(np.abs(session.harmonic - lp_harmonic(session.state))) <= 1e-9
     if kind is StrategyKind.TSA:
+        # the decisions are derived at commit, 2 h / diag(G): bitwise the definition's
+        assert np.array_equal(session.decisions, tsa_marginals(session.state, session.harmonic).values)
         fresh = tsa_marginals(session.state).values
         assert np.max(np.abs(session.decisions - fresh)) <= 1e-9
     assert inverse_residual(session.state) <= 1e-8
@@ -576,6 +578,7 @@ def test_multiclass_session_vectors_stay_in_sync():
     session = update_multiclass(session, 3, 1)
     assert np.max(np.abs(session.harmonics - multiclass_harmonics(session.mstate))) <= 1e-9
     assert np.max(np.abs(session.decisions - multiclass_decisions(session.mstate))) <= 1e-9
+    assert np.array_equal(session.decisions, multiclass_decisions(session.mstate, session.harmonics))
 
 
 def test_one_vs_rest_invariants_hold_through_commits():
