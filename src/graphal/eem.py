@@ -36,16 +36,15 @@ every candidate whose bound exceeds that best score plus the tie tolerance
 Before the sweep, a certificate proves that no lookahead denominator can
 reach ``singular_floor``: first one comparison against the backward-error
 bound that travels with ``G`` (:func:`_bounded`), else one read of
-``diag(G)`` and ``G``'s upper triangle (:func:`_certified`); only where
-both fail are the denominators all computed, so a degenerate state raises
-the full table's first error text.
-:func:`survivors`, its one caller, hands it the table's own record, binary
-or one-vs-rest, so a term of the sweep is the same float operations on the
-same operands as the table's term; only ``exp`` (a different kernel may
-differ by a few ULP) and the order of the additions differ, and
-``ROUNDING_MARGIN`` covers both.  A record whose terms can round below 0
-names their floor.  zlg keeps the full tables: its per-node terms stay
-large far from the labels, so its bounds prune almost nothing.
+``diag(G)`` and ``G``'s upper triangle (:func:`_certified`); where both
+fail, the select takes the full table, which raises on a degenerate state.
+:func:`survivors`, the sweep's one caller, hands it the table's own
+record, binary or one-vs-rest, so a term of the sweep is the same float
+operations on the same operands as the table's term; only ``exp`` (a
+different kernel may differ by a few ULP) and the order of the additions
+differ, and ``ROUNDING_MARGIN`` covers both.  A record whose terms can
+round below 0 names their floor.  zlg keeps the full tables: its per-node
+terms stay large far from the labels, so its bounds prune almost nothing.
 
 ``lookahead_risk`` is the plain per-candidate form of the same quantity,
 kept around as the readable reference the tables are tested against (its
@@ -56,7 +55,7 @@ oracle for the fast routes.
 from __future__ import annotations
 
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.special
@@ -90,23 +89,21 @@ CERTIFIED_CORRELATION = 1.0 - 1e-9
 def tsa_lookahead_decisions(state: LabelState, f: np.ndarray, q: int, y) -> np.ndarray:
     """Decision values after hypothetically observing ``Y_q = y``.
 
-    ``f`` is one vector aligned with ``state.unlabeled`` and ``y`` a label,
-    or ``f`` is a (|u|, C) matrix of one column per one-vs-rest run and
-    ``y`` a length-C label vector; the matrix form shares the diagonal and
-    the denominator, and each column equals the one-column call bitwise.
-    Row ``q`` is set to +/-inf (a just-observed node is certain).  The
-    state itself is untouched.
+    ``f`` is one vector aligned with ``state.unlabeled`` and ``y`` a label;
+    a (|u|, C) matrix raises :class:`UsageError` (at |u| == C it would
+    broadcast into wrong numbers).  Row ``q`` is set to +/-inf (a
+    just-observed node is certain).  The state itself is untouched.
     """
+    if f.ndim != 1:
+        raise UsageError(f"tsa lookahead takes one vector of decision values, got shape {f.shape}")
     qi = state.u_index(q)
     d = state.diagonal()
     if not d[qi] > state.singular_floor:  # a NaN fails too
         raise DegeneracyError(f"inverse diagonal at node {{}} is {d[qi]:.3e}", q)
     col = state.row(qi)
     denom = lookahead_denominators(state, d, col, qi, np.arange(d.size), ([0], [qi]), np.empty((1, d.size)))[0]
-    if f.ndim == 2:
-        d, col, denom = d[:, None], col[:, None], denom[:, None]
     fp = (d * f + (2.0 * y / d[qi] - f[qi]) * col) / denom
-    fp[qi] = np.where(y > 0, np.inf, -np.inf)
+    fp[qi] = np.inf if y > 0 else -np.inf
     return fp
 
 
@@ -114,8 +111,9 @@ def zlg_lookahead_harmonic(state: LabelState, h: np.ndarray, q: int, y) -> np.nd
     """Harmonic values after hypothetically pinning node ``q`` to ``y``.
 
     One rank-one correction of the interpolation; row ``q`` becomes ``y``
-    exactly.  Takes one vector and a label, or a (|u|, C) matrix and a
-    length-C label vector, like :func:`tsa_lookahead_decisions`.
+    exactly.  Takes one vector and a label, or a (|u|, C) matrix of one
+    column per one-vs-rest run and a length-C label vector, each column
+    bitwise the one-column call's.
     """
     qi = state.u_index(q)
     row = state.row(qi)
@@ -339,15 +337,20 @@ def survivors(state: LabelState, build) -> np.ndarray | None:
     is ``state.class_count``): the one caller of :func:`bound_sweep`, most
     uncertain nodes first.
 
-    None where pruning is not tried: where :func:`sweeps` is False (one
-    block, or no candidate), before any record is built; a table without
-    ``uncertainty``; and ``finite`` operands that are not (a NaN term could
-    hide in an unswept node; the table shows it).
+    None where pruning is not tried, and the select takes the full table:
+    where :func:`sweeps` is False (one block, or no candidate), before any
+    record is built; a table without ``uncertainty``; ``finite`` operands
+    that are not (a NaN term could hide in an unswept node; the table shows
+    it); and where neither :func:`_bounded` nor :func:`_certified` proves
+    every lookahead denominator above ``singular_floor`` (a vanished one
+    raises the table's first error text).
     """
     if not sweeps(state):
         return None
     table = build()
     if table.uncertainty is None or not all(np.isfinite(v).all() for v in table.finite):
+        return None
+    if not (_bounded(state) or _certified(table)):
         return None
     return bound_sweep(table, np.argsort(-table.uncertainty(), kind="stable"))
 
@@ -359,16 +362,10 @@ def bound_sweep(table: RiskTable, order) -> np.ndarray:
     Candidate q's entry is ``sum_b weights[b][q] * sum_k term_b(q, k) / n``
     over outcomes b and nodes k, the weights of a candidate summing to 1
     and every term at least ``term_floor``.  ``order`` holds every node
-    position, most uncertain first.
+    position, most uncertain first.  The caller has certified every
+    lookahead denominator above ``singular_floor`` (:func:`survivors`).
 
-    1. Guard: :func:`_bounded` proves in O(1), from the backward-error
-       bound that travels with ``G``, that no lookahead denominator can
-       reach ``singular_floor``.  Where the state has no bound or it is too
-       loose, :func:`_certified` proves the same from ``diag(G)`` and one
-       read of ``G``'s upper triangle.  Where that fails too,
-       :func:`_guard` checks every denominator in the table's own block
-       order, so a degenerate state raises exactly what the table raises.
-    2. Bounds: the nodes are summed in ``order``, in chunks of ``width *
+    1. Bounds: the nodes are summed in ``order``, in chunks of ``width *
        |u|`` cells, ``width = min(SWEEP_COLUMNS, BLOCK_CELLS // |u|)``:
        ``width`` nodes while every candidate is live, more as candidates
        drop, so the per-chunk work stays large next to its fixed cost.
@@ -376,30 +373,25 @@ def bound_sweep(table: RiskTable, order) -> np.ndarray:
        1), and ``gather`` returns the chunk's ``G_qk``, gathered once
        along row k (``G`` is exactly symmetric) by one flat ``take``
        through the state's live slots (``LabelState.slots``).
-    3. After each chunk the live candidate with the smallest bound is
+    2. After each chunk the live candidate with the smallest bound is
        scored by one :func:`table_rows` row, scaled as the bounds are; the
        smallest such score is ``best``.  A candidate whose bound (or exact
        score) exceeds ``(best + tie_relative * max(1, |best|)) * (1 +
        ROUNDING_MARGIN)``, plus ``-term_floor`` per node not yet summed,
        is dropped: its exact risk lies above the minimum plus the tie
        tolerance, so it is neither the minimizer nor tied with it.
-    4. The sweep stops once at most ``width`` unscored candidates are live,
+    3. The sweep stops once at most ``width`` unscored candidates are live,
        every node is summed, or it has spent ``SWEEP_BUDGET`` of the table's
        cells.  A sweep cell costs about one and a half table cells (the
        gather, the index), so a select where nothing prunes costs about two
        tables.
 
-    Scratch: none for :func:`_bounded`; where it fails, one certificate
-    slab of ``max(BLOCK_CELLS, |u|)`` cells (or, on the last fallback, the
-    guard's slab of a table block); then
-    ``slabs + 2`` slabs of ``width * |u|`` cells (``G_qk``, the gather
-    index and the kernel's).
+    Scratch: ``slabs + 2`` slabs of ``width * |u|`` cells (``G_qk``, the
+    gather index and the kernel's).
     The survivors are the live candidates, scored ones included.
     """
     state, terms, weights, slabs = table.state, table.terms, table.weights, table.slabs
     m = len(order)
-    if not (_bounded(state) or _certified(table)):
-        _guard(table)
     width = min(SWEEP_COLUMNS, max(1, BLOCK_CELLS // m))
     rank = np.empty(m, dtype=np.intp)
     rank[order] = np.arange(m)
@@ -447,11 +439,10 @@ def bound_sweep(table: RiskTable, order) -> np.ndarray:
 
 
 def _bounded(state: LabelState) -> bool:
-    """True if ``state.error_bound`` proves every lookahead denominator
+    """True if ``state.bound()`` proves every lookahead denominator
     ``G_kk - G_qk^2 / G_qq`` (``q != k``) above ``singular_floor``: one
     comparison, ``2f (a/2 + e) <= 1`` with ``f`` the floor.  False where
-    the bound fails it or does not describe the state's ``G`` (its array,
-    or its owned buffer at its version); the caller then runs
+    the bound fails it or the state has none; the caller then runs
     :func:`_certified`.
 
     The proof, with ``A = L_uu``, ``u = 2^-53`` and ``G`` the stored,
@@ -495,18 +486,15 @@ def _bounded(state: LabelState) -> bool:
        ``f``; the comparison's own few roundings, a few ``u`` relative,
        fit in the same factor 2.
     """
-    bound = state._error_bound  # the stored form, whose first entry is G's store
-    if bound is None or bound[0] is not state._inverse:
-        return False
-    _, a, e = bound
-    return bool(2.0 * state.singular_floor * (0.5 * a + e) <= 1.0)
+    bound = state.bound()  # (a, e)
+    return bound is not None and bool(2.0 * state.singular_floor * (0.5 * bound[0] + bound[1]) <= 1.0)
 
 
 def _certified(table: RiskTable) -> bool:
     """True if no lookahead denominator ``G_kk - G_qk^2 / G_qq`` of
     ``table`` can reach ``singular_floor``: the second route, for a state
     whose error bound is missing or too loose (:func:`_bounded`); on False
-    the caller runs :func:`_guard`.
+    the select takes the full table.
 
     With ``f`` the floor and ``d = table.d``, it needs ``d.min() > 2f``,
     sets ``v = 1 / sqrt(d - 2f)`` and checks ``|G_qk| v_k <=
@@ -546,16 +534,6 @@ def _certified(table: RiskTable) -> bool:
             return False
         q0 = q1
     return True
-
-
-def _guard(table: RiskTable) -> None:
-    """Check every lookahead denominator in the order of the table's blocks."""
-
-    def denominators(gather, q, k, own, scratch):
-        lookahead_denominators(table.state, table.d, gather(scratch[0]), q, k, own, scratch[0])
-        return ()
-
-    table_rows(replace(table, terms=denominators, weights=(), slabs=1))
 
 
 def zlg_table(state: LabelState, h: np.ndarray | None = None) -> RiskTable:

@@ -224,14 +224,13 @@ class _Owned:
     ``ld`` x ``ld`` matrix at the head of ``flat``; the other slots are
     dead, labeled nodes' rows and columns left where they were.
     ``version`` counts the commits, and a state holds the stamp ``(buffer,
-    version)``: it reads the buffer only at its own version.  ``view`` is
-    the compact ``G`` once :meth:`read` has made it, until the next commit.
+    version)``: it reads the buffer only at its own version.
     """
 
-    __slots__ = ("flat", "ld", "live", "version", "view")
+    __slots__ = ("flat", "ld", "live", "version")
 
     def __init__(self, matrix: np.ndarray):
-        self.flat, self.ld, self.live, self.version, self.view = matrix.reshape(-1), len(matrix), None, 0, None
+        self.flat, self.ld, self.live, self.version = matrix.reshape(-1), len(matrix), None, 0
 
     def open(self, version: int) -> _Owned:
         if version != self.version:
@@ -256,12 +255,11 @@ class _Owned:
         self.ld, self.live = m, None
 
     def read(self, version: int) -> np.ndarray:
-        """The compact (|u|, |u|) ``G`` at ``version``, read-only, one view per version."""
-        if self.open(version).view is None:
-            self.compact()
-            self.view = self.matrix()
-            self.view.setflags(write=False)
-        return self.view
+        """The compact (|u|, |u|) ``G`` at ``version``: a fresh read-only view."""
+        self.open(version).compact()
+        g = self.matrix()
+        g.setflags(write=False)
+        return g
 
 
 class _InverseField:
@@ -276,22 +274,6 @@ class _InverseField:
 
     def __set__(self, state, value):
         state.__dict__["_inverse"] = value
-
-
-class _BoundField:
-    """``LabelState.error_bound``, kept as ``(G's store, a, e)`` and read as
-    ``(inverse, a, e)`` while the store is the state's own."""
-
-    def __get__(self, state, owner=None):
-        if state is None:
-            return None
-        bound = state._error_bound
-        if bound is not None and bound[0] is state._inverse and type(bound[0]) is tuple:
-            return (state.inverse, *bound[1:])
-        return bound
-
-    def __set__(self, state, value):
-        state.__dict__["_error_bound"] = value
 
 
 @dataclass(frozen=True)
@@ -315,14 +297,14 @@ class LabelState:
     ``G`` raises :class:`UsageError`; ``labels``, ``lap`` and the node
     tuples still read.
 
-    ``error_bound`` is None or ``(array, a, e)``: ``array`` is proved the
-    exact inverse of ``L_uu + E`` with ``||E||_2 <= e`` and ``a >=
-    ||L_uu||_2`` (``init_label_state`` and ``downdate_inverse`` set it;
-    the proof is ``eem._bounded``'s).  It describes ``G`` only while it
-    was made for this state's ``G`` (this array, or this buffer at this
-    version), so a state built by hand, by ``dataclasses.replace(state,
-    inverse=...)`` or as a ``MulticlassState.states`` view carries no
-    usable bound.
+    ``error_bound`` is None or ``(store, a, e)``: the ``G`` held in
+    ``store`` (an array, or a buffer's ``(buffer, version)`` stamp) is
+    proved the exact inverse of ``L_uu + E`` with ``||E||_2 <= e`` and
+    ``a >= ||L_uu||_2`` (``init_label_state`` and ``downdate_inverse`` set
+    it; the proof is ``eem._bounded``'s).  :meth:`bound` reads ``(a, e)``
+    where ``store`` is this state's own, by identity, so a state built by
+    hand, by ``dataclasses.replace(state, inverse=...)`` or as a
+    ``MulticlassState.states`` view carries no usable bound.
     """
 
     lap: Laplacian
@@ -330,12 +312,18 @@ class LabelState:
     labels: np.ndarray
     unlabeled: tuple[int, ...]
     inverse: np.ndarray = _InverseField()
-    error_bound: tuple | None = _BoundField()
+    error_bound: tuple | None = None
 
     @property
     def class_count(self) -> int:
         """1 for a label vector, C for an (|l|, C) label matrix."""
         return self.labels.shape[1] if self.labels.ndim == 2 else 1
+
+    def bound(self) -> tuple[float, float] | None:
+        """``(a, e)`` of ``error_bound`` where it was made for this state's
+        ``G``, else None.  Reads nothing of ``G``."""
+        bound = self.error_bound
+        return bound[1:] if bound is not None and bound[0] is self._inverse else None
 
     def u_index(self, node: int) -> int:
         """Position of an unlabeled node within the ``unlabeled`` ordering."""
@@ -497,7 +485,10 @@ def whole_numbers(values, what: str, error: type[Exception] = InputError) -> lis
     alone would turn 5.5 into 5."""
     out = []
     for v in values:
-        i = int(v)
+        try:
+            i = int(v)
+        except (ValueError, OverflowError):  # NaN, +/-inf
+            i = None
         if i != v:
             raise error(f"{what} {v!r} is not a whole number")
         out.append(i)
@@ -642,7 +633,7 @@ def downdate_inverse(state: LabelState, k: int, label, own: bool = False) -> Lab
             -1.0, s[:, None], s[None, :], beta=1.0, c=new_inv.T, overwrite_c=1
         ).T
     if owned is not None:
-        owned.version, owned.view, owned.live = owned.version + 1, None, np.delete(live, qi)
+        owned.version, owned.live = owned.version + 1, np.delete(live, qi)
         if 2 * m <= owned.ld:
             owned.compact()
         new_store = (owned, owned.version)
@@ -656,14 +647,12 @@ def downdate_inverse(state: LabelState, k: int, label, own: bool = False) -> Lab
     new_labels = np.empty((len(labels) + 1, *labels.shape[1:]))
     new_labels[:pos], new_labels[pos], new_labels[pos + 1:] = labels[:pos], label, labels[pos:]
     new_labels.setflags(write=False)
-    bound = state._error_bound
-    if bound is not None and bound[0] is store:
-        _, a, e = bound
+    bound = state.bound()
+    if bound is not None:
+        a, e = bound
         a_e = a + e
         a_r = a_e * _DOWNDATE_ROUNDING * m * float(state.singular_floor)
         bound = (new_store, a, e + a_e * a_r / (1.0 - a_r)) if a_r < 0.5 else None
-    else:
-        bound = None
     return type(state)(
         state.lap,
         state.labeled[:pos] + (k,) + state.labeled[pos:],

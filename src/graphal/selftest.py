@@ -325,8 +325,8 @@ def check_denominator_bound(rng: np.random.Generator, graphs: int):
     """Computed lookahead denominators vs. the floor the error bound proves.
 
     On a corpus graph and a :func:`log_uniform_graph` each round, commits
-    in random order until every node is labeled.  For each state whose
-    ``error_bound`` describes its inverse, the proven floor of a computed
+    in random order until every node is labeled.  For each state with a
+    ``bound() = (a, e)``, the proven floor of a computed
     denominator is ``1 / (a/2 + e)`` less three roundings, ``4 u max
     diag(G)`` (``eem._bounded``); the denominators ``G_kk - G_qk^2 /
     G_qq``, q != k, come from one whole-matrix expression.  The deviation
@@ -339,12 +339,12 @@ def check_denominator_bound(rng: np.random.Generator, graphs: int):
             order = [int(v) for v in rng.permutation(graph.n)]
             state = init_label_state(build_laplacian(graph), order[:1], [1.0])
             for k in order[1:]:
-                bound, g = state.error_bound, state.inverse
-                if bound is not None and bound[0] is g and len(g) > 1:
+                bound, g = state.bound(), state.inverse
+                if bound is not None and len(g) > 1:
                     d = g.diagonal()
                     denominators = d[None, :] - g * g / d[:, None]
                     np.fill_diagonal(denominators, np.inf)
-                    floor = 1.0 / (0.5 * bound[1] + bound[2]) - 4.0 * 2.0 ** -53 * d.max()
+                    floor = 1.0 / (0.5 * bound[0] + bound[1]) - 4.0 * 2.0 ** -53 * d.max()
                     yield max(0.0, floor - denominators.min()) / d.max()
                 state = downdate_inverse(state, k, float(rng.choice([-1.0, 1.0])))
 

@@ -249,9 +249,10 @@ class MulticlassState(LabelState):
     @cached_property
     def states(self) -> tuple[LabelState, ...]:
         """The C runs as binary states, run c's labels column c (read-only
-        copies), all sharing this state's partition and ``G`` (but not its
-        ``error_bound``).  Building them reads no ``G``, so the runs of a
-        consumed state keep their labels, and raise where it does."""
+        copies), all sharing this state's partition and ``G``, but with no
+        ``error_bound``: their ``bound()`` is None.  Building them reads no
+        ``G``, so the runs of a consumed state keep their labels, and raise
+        where it does."""
         runs = np.ascontiguousarray(self.labels.T)
         runs.setflags(write=False)
         return tuple(LabelState(self.lap, self.labeled, y, self.unlabeled, self._inverse) for y in runs)

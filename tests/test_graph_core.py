@@ -330,7 +330,7 @@ def test_owned_commits_to_the_end_are_bitwise_equal_to_chained_downdates(monkeyp
         assert np.array_equal(g, reference.inverse), f"|u| = {len(g)}"
         assert np.array_equal(g, g.T)
         assert state.labeled == reference.labeled and np.array_equal(state.labels, reference.labels)
-        assert state._error_bound[1:] == reference.error_bound[1:]  # error_bound would compact, as inverse does
+        assert state.bound() == reference.bound()
         dead = max(dead, state.slots()[1] - len(g))
     assert not state.unlabeled
     assert dead > 1 and sum(compactions) >= 3  # dead slots stayed, then were compacted away
@@ -360,6 +360,21 @@ def test_an_owned_commit_allocates_no_square_array(monkeypatch):
 
 
 @pytest.mark.parametrize("classes", [1, 3], ids=["binary", "one-vs-rest-3"])
+def test_reading_the_bound_of_an_owned_state_moves_no_slot(monkeypatch, classes):
+    monkeypatch.setattr(eem, "BLOCK_CELLS", 1)  # the session owns G to the end
+    session, order, truth, commit = tsa_session(random_connected_graph(np.random.default_rng(5), 40, 40),
+                                                classes, np.random.default_rng(5))
+    for v in order[:3]:
+        session = commit(session, v, truth[v])
+    state = state_of(session)
+    _, ld, live = state.slots()
+    assert live is not None and ld > live.size  # dead slots
+    live = live.copy()
+    assert state.error_bound is not None and state.bound() == state.error_bound[1:] and eem._bounded(state)
+    assert ld == state.slots()[1] and np.array_equal(state.slots()[2], live)
+
+
+@pytest.mark.parametrize("classes", [1, 3], ids=["binary", "one-vs-rest-3"])
 def test_a_consumed_state_raises_on_reads_of_g(monkeypatch, classes):
     monkeypatch.setattr(eem, "BLOCK_CELLS", 1)
     session, order, truth, commit = tsa_session(random_connected_graph(np.random.default_rng(9), 40, 40),
@@ -370,7 +385,7 @@ def test_a_consumed_state_raises_on_reads_of_g(monkeypatch, classes):
     consumed = state_of(owned)
     label = label_of(consumed, truth, order[2])
     reads = [
-        lambda s: s.inverse, lambda s: s.error_bound, lambda s: s.diagonal(), lambda s: s.row(0),
+        lambda s: s.inverse, lambda s: s.diagonal(), lambda s: s.row(0),
         lambda s: s.slots(), lambda s: s.checked_diagonal(), lambda s: downdate_inverse(s, order[2], label),
     ]
     for read in reads:

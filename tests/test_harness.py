@@ -241,8 +241,8 @@ def test_trial_multiclass_dataset(tmp_path):
     assert rec.curve[-1] == 1.0  # 1 seed + 5 queries = all 6 nodes observed
 
 
-def test_trial_guards_are_scale_free():
-    # G scales as 1/beta; guards relative to max diag(G) must not fire at beta=1e12
+def test_trial_degeneracy_floors_are_scale_free():
+    # G scales as 1/beta; floors relative to max diag(G) must not fire at beta=1e12
     ds = gen_chain(10, seed=5)
     for beta in (1.0, 1e12):
         assert trial(ds, StrategyKind.TSA, 9, seed=3, beta=beta).curve[-1] == 1.0

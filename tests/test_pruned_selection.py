@@ -11,16 +11,16 @@ several blocks and several chunks of the bound sweep.  ``classes`` is 1 for
 a binary session, C for a one-vs-rest one.  The sweep's two denominator
 certificates, the O(1) check against the error bound that travels with
 ``G`` (``eem._bounded``) and the read of ``G``'s upper triangle
-(``eem._certified``), are held to the guard they stand in for: neither
-passes a state the guard rejects, and on a typical graph the first spares
-every select the other two.
+(``eem._certified``), are held to the full table a select takes where
+both fail: neither passes a state whose full table raises, and on a
+typical graph the first spares every select the other two.
 """
 import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from graphal import eem, strategies
@@ -418,17 +418,39 @@ def near_degenerate_sessions(draw, classes):
     return tampered(session, j, k, t * np.sqrt(g[j, j] * g[k, k]))
 
 
+def floor_ring(classes):
+    """Every other node of a ring is labeled, so ``G`` is diagonal and every
+    lookahead denominator is ``G_kk``.  Two edges of weight 6e11 around node
+    1 put ``G_11`` at 1/1.2e12, between the floor (1e-12 of ``max G_kk`` =
+    1/2) and twice it: neither certificate holds, and the full table does
+    not raise."""
+    n = 60
+    edges = [(i, (i + 1) % n, 6e11 if i in (0, 1) else 1.0) for i in range(n)]
+    return session_after(graph_from_edges(n, edges), list(range(0, n, 2)), [1.0, -1.0] * (n // 4), 0,
+                         np.random.default_rng(0), classes)
+
+
+def crossed(classes):
+    """A block session whose pair (3, 5) is tampered to correlation 1.5: a
+    negative lookahead denominator, so its full table raises."""
+    session = block_session(0, 0, classes)
+    g = state_of(session).inverse
+    return tampered(session, 3, 5, 1.5 * np.sqrt(g[3, 3] * g[5, 5]))
+
+
 @CLASSES
-def test_the_certificate_never_passes_a_state_the_guard_rejects(classes):
+def test_the_certificate_never_passes_a_state_whose_full_table_raises(classes):
     seen = set()
 
     @PROPERTY
     @given(st.one_of(sessions(classes), near_degenerate_sessions(classes)))
+    @example(floor_ring(classes))
+    @example(crossed(classes))
     def check(session):
         table = record(session)
         certified = eem._certified(table)
         try:
-            eem._guard(table)
+            table.rows()
         except DegeneracyError:
             assert not certified
             seen.add("rejected")
@@ -436,7 +458,7 @@ def test_the_certificate_never_passes_a_state_the_guard_rejects(classes):
             seen.add("certified" if certified else "fell back")
 
     check()
-    assert seen == {"certified", "fell back", "rejected"}  # every branch was drawn
+    assert seen == {"certified", "fell back", "rejected"}  # every branch was reached
 
 
 @st.composite
@@ -464,15 +486,17 @@ def log_uniform_runs(draw, classes):
 
 
 @CLASSES
-def test_the_error_bound_never_passes_a_state_the_guard_rejects(classes):
+def test_the_bound_never_passes_a_state_whose_full_table_raises(classes):
     seen = set()
 
     @PROPERTY
     @given(st.one_of(sessions(classes), near_degenerate_sessions(classes), log_uniform_runs(classes)))
+    @example(floor_ring(classes))
+    @example(crossed(classes))
     def check(session):
         bounded = eem._bounded(state_of(session))
         try:
-            eem._guard(record(session))
+            record(session).rows()
         except DegeneracyError:
             assert not bounded
             seen.add("rejected")
@@ -486,7 +510,7 @@ def test_the_error_bound_never_passes_a_state_the_guard_rejects(classes):
 def test_only_inversions_and_their_downdates_carry_a_usable_bound(classes):
     session = block_session(0, 2, classes)
     state = state_of(session)
-    assert eem._bounded(state) and state.error_bound[0] is state.inverse
+    assert eem._bounded(state) and state.bound() == state.error_bound[1:]
     built = (MulticlassState if classes > 1 else LabelState)(
         state.lap, state.labeled, state.labels, state.unlabeled, state.inverse)
     others = [
@@ -499,15 +523,15 @@ def test_only_inversions_and_their_downdates_carry_a_usable_bound(classes):
     k = state.unlabeled[7]
     label = 1.0 if classes == 1 else np.where(np.arange(classes) == 0, 1.0, -1.0)
     for other in others:
-        assert not eem._bounded(other)
-        assert downdate_inverse(other, k, label if other.class_count > 1 else 1.0).error_bound is None
+        assert other.bound() is None and not eem._bounded(other)
+        assert downdate_inverse(other, k, label if other.class_count > 1 else 1.0).bound() is None
     child = downdate_inverse(state, k, label)
-    assert child.error_bound[0] is child.inverse and child.error_bound[1] == state.error_bound[1]
-    assert child.error_bound[2] > state.error_bound[2] and eem._bounded(child)
+    (a, e), (child_a, child_e) = state.bound(), child.bound()
+    assert child_a == a and child_e > e and eem._bounded(child)
 
 
 @CLASSES
-def test_the_error_bound_is_scale_free_in_beta(classes):
+def test_the_bound_is_scale_free_in_beta(classes):
     graph = blocks(300, np.random.default_rng(0), max(2, classes))
     relative = []
     for beta in (1e-6, 1.0, 1e12):
@@ -515,7 +539,7 @@ def test_the_error_bound_is_scale_free_in_beta(classes):
                                 classes, beta=beta)
         state = state_of(session)
         assert eem._bounded(state), beta
-        _, a, e = state.error_bound
+        a, e = state.bound()
         relative.append((e / a, state.singular_floor * a))
     np.testing.assert_allclose(relative[0], relative[1], rtol=1e-6)
     np.testing.assert_allclose(relative[2], relative[1], rtol=1e-6)
@@ -539,7 +563,7 @@ def test_a_large_inverse_selects_and_commits_as_the_full_table_chooses(classes):
 
 @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
 @CLASSES
-def test_a_non_finite_entry_of_g_raises_the_guards_text(classes, value):
+def test_a_non_finite_entry_of_g_raises_the_full_tables_text(classes, value):
     session = block_session(0, 2, classes)
     m = len(state_of(session).unlabeled)
     broken = tampered(session, 40, m - 3, value)
@@ -553,26 +577,18 @@ def test_a_non_finite_entry_of_g_raises_the_guards_text(classes, value):
 
 
 @CLASSES
-def test_a_diagonal_at_or_below_twice_the_floor_falls_back_to_the_guard(monkeypatch, classes):
-    # Every other node of a ring is labeled, so G is diagonal and every
-    # lookahead denominator is G_kk.  Two edges of weight 6e11 around node 1
-    # put G_11 at 1/1.2e12, between the floor (1e-12 of max G_kk = 1/2) and
-    # twice it: the certificate cannot start, and the guard passes.
-    n = 60
-    edges = [(i, (i + 1) % n, 6e11 if i in (0, 1) else 1.0) for i in range(n)]
-    labeled = list(range(0, n, 2))
-    session = session_after(graph_from_edges(n, edges), labeled, [1.0, -1.0] * (n // 4), 0,
-                            np.random.default_rng(0), classes)
+def test_a_diagonal_at_or_below_twice_the_floor_falls_back_to_the_full_table(monkeypatch, classes):
+    session = floor_ring(classes)
     state = state_of(session)
     d = state.inverse.diagonal()
     assert state.singular_floor < d.min() <= 2 * state.singular_floor
-    assert not eem._certified(record(session))
+    assert not eem._certified(record(session)) and not eem._bounded(state)
     monkeypatch.setattr(eem, "BLOCK_CELLS", 3 * len(d))
-    calls = []
-    guard = eem._guard
-    monkeypatch.setattr(eem, "_guard", lambda t: calls.append(t) or guard(t))
-    check_pruned_selection(session, 0)
-    assert calls
+    assert eem.sweeps(state) and survivors(session) is None
+    full = table(session)
+    pruned_rng, full_rng = np.random.default_rng(0), np.random.default_rng(0)
+    assert select(session, pruned_rng) == state.unlabeled[eem.argmin_ties(full, full_rng)]
+    assert pruned_rng.bit_generator.state == full_rng.bit_generator.state
 
 
 @CLASSES
@@ -585,13 +601,12 @@ def test_the_certificate_is_scale_free_in_beta(classes):
 
 
 @pytest.mark.parametrize("classes", [1, 3, 4], ids=["binary", "one-vs-rest-3", "one-vs-rest-4"])
-def test_block_graph_selects_never_run_the_guard(monkeypatch, classes):
-    # Nor the triangle certificate: the O(1) error-bound check certifies
-    # every select of these well-posed sessions.
+def test_block_graph_selects_never_read_the_triangle(monkeypatch, classes):
+    # The O(1) error-bound check certifies every select of these
+    # well-posed sessions, so none reaches the triangle certificate.
     def fallback(table):
         raise AssertionError("the error bound failed to certify a well-posed state")
 
-    monkeypatch.setattr(eem, "_guard", fallback)
     monkeypatch.setattr(eem, "_certified", fallback)
     for seed in range(3):
         session = block_session(seed, 4, classes)

@@ -210,8 +210,16 @@ def six_chain():
         (lambda lap: init_multiclass(lap, [0, 5], [0, 1.7], 3), UsageError, "class id 1.7"),  # would store class 1
         (lambda lap: init_multiclass(lap, [0, 5.5], [0, 1], 3), InputError, "labeled node 5.5"),  # would label node 5
         (lambda lap: init_label_state(lap, [5.5], [1.0]), InputError, "labeled node 5.5"),
+        # int() alone would raise a bare ValueError (NaN) or OverflowError (inf)
+        (lambda lap: update_multiclass(start_multiclass(init_multiclass(lap, [0], [0], 3), StrategyKind.TSA), 2,
+                                       float("nan")), UsageError, "class id nan"),
+        (lambda lap: init_multiclass(lap, [0, 5], [0, np.inf], 3), UsageError, "class id inf"),
+        (lambda lap: init_multiclass(lap, [0, -np.inf], [0, 1], 3), InputError, "labeled node -inf"),
+        (lambda lap: init_label_state(lap, [np.nan], [1.0]), InputError, "labeled node nan"),
     ],
-    ids=["update_multiclass-class", "init_multiclass-class", "init_multiclass-node", "init_label_state-node"],
+    ids=["update_multiclass-class", "init_multiclass-class", "init_multiclass-node", "init_label_state-node",
+         "update_multiclass-nan-class", "init_multiclass-inf-class", "init_multiclass-inf-node",
+         "init_label_state-nan-node"],
 )
 def test_non_integral_class_ids_and_nodes_are_rejected_by_name(call, error, text):
     with pytest.raises(error, match=f"^{re.escape(text)} is not a whole number$"):
@@ -521,14 +529,11 @@ def test_matrix_lookaheads_match_per_class_calls():
     for q in state.unlabeled[::15]:
         for observed in range(4):
             y = np.where(np.arange(4) == observed, 1.0, -1.0)
-            for lookahead, values in (
-                (tsa_lookahead_decisions, session.decisions),
-                (zlg_lookahead_harmonic, session.harmonics),
-            ):
-                per_class = np.column_stack(
-                    [lookahead(state, values[:, c], q, y[c]) for c in range(4)]
-                )
-                assert np.array_equal(lookahead(state, values, q, y), per_class)
+            h = session.harmonics
+            per_class = np.column_stack([zlg_lookahead_harmonic(state, h[:, c], q, y[c]) for c in range(4)])
+            assert np.array_equal(zlg_lookahead_harmonic(state, h, q, y), per_class)
+            with pytest.raises(UsageError, match="one vector of decision values"):  # no matrix form
+                tsa_lookahead_decisions(state, session.decisions, q, y)
 
 
 @pytest.mark.parametrize("kind", [StrategyKind.TSA, StrategyKind.ZLG])
